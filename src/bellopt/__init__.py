@@ -6,7 +6,7 @@ a Bell inequality for a given experiment, and simulates finite-statistics
 runs of two reference quantum setups.
 """
 
-from .inequalities import BellInequality, catalog, ns_equivalent, rescale, shift
+from .inequalities import BellInequality, catalog, ns_equivalent, rescale, shift, sigma_ratio
 from .sampling import Allocation, SamplingScheme
 from .simulate import frequencies, run_ensemble, simulate_run
 from .space import (
@@ -19,7 +19,7 @@ from .space import (
     project,
     q_basis,
 )
-from .variance import analytic_covariance, mc_covariance, optimal_variant, sigma_ratio, std_dev
+from .variance import analytic_covariance, mc_covariance, optimal_variant, std_dev
 
 __all__ = [
     "Allocation",

@@ -130,7 +130,6 @@ def cmd_model(args) -> int:
         p = sources.spdc_distribution(
             mu=args.mu, ratio=args.ratio_r, eta_a=args.eta_a, eta_b=args.eta_b,
             angles=angles, cutoff=args.cutoff,
-            loss_model="coherent" if args.coherent_loss else "channel",
         )
     chsh = catalog("CHSH")
     print(f"behavior generated ({args.source}); CHSH value = {chsh.value(p):.6g}")
@@ -148,8 +147,7 @@ def cmd_optimize(args) -> int:
     if args.cov == "analytic":
         sigma = variance.analytic_covariance(p, scheme)
     else:
-        sigma = variance.mc_covariance(p, scheme, runs=args.runs, seed=args.seed,
-                                       threads=args.threads)
+        sigma = variance.mc_covariance(p, scheme, runs=args.runs, seed=args.seed)
     bstar = variance.optimal_variant(beta, sigma)
     sd_before = variance.std_dev(beta, sigma)
     sd_after = variance.std_dev(bstar, sigma)
@@ -176,8 +174,7 @@ def cmd_optimize(args) -> int:
 def cmd_simulate(args) -> int:
     p = space.check_distribution(_load_vector(args.input), tol=1e-9)
     betas = _inequalities(args)
-    report = simulate.run_ensemble(p, betas, _scheme(args), runs=args.runs,
-                                   seed=args.seed, threads=args.threads)
+    report = simulate.run_ensemble(p, betas, _scheme(args), runs=args.runs, seed=args.seed)
     summary = report.summary()
     for name, entry in summary["inequalities"].items():
         line = f"{name:10s} mean = {entry['mean']:+.6g}  sd = {entry['sd']:.6g}"
@@ -243,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="polarization angles in degrees (default: reference angles)")
     spdc.add_argument("--cutoff", type=int, default=sources.SPDC_CUTOFF,
                       help="per-mode photon-number cutoff")
-    spdc.add_argument("--coherent-loss", action="store_true",
-                      help="use the coherent single-operator loss model instead of the channel")
     spdc.add_argument("--output", help="write the behavior JSON here (default stdout)")
     spdc.set_defaults(func=cmd_model)
 
@@ -257,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--cov", choices=("analytic", "mc"), default="analytic")
     o.add_argument("--runs", type=int, default=2000, help="runs for --cov mc")
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--threads", type=int, default=1)
     o.add_argument("--output", help="write the optimal variant JSON here (default stdout)")
     o.add_argument("--report", help="write the sd/ratio report JSON here")
     o.set_defaults(func=cmd_optimize)
@@ -270,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--runs", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--allocation", choices=("fixed", "random"), default="fixed")
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--bins", type=int, default=80)
     s.add_argument("--histogram-csv", help="write a shared-binning histogram CSV")
     s.add_argument("--values-csv", help="write raw per-run values CSV")

@@ -6,14 +6,12 @@ trial count N(xy).  Ensembles of runs reproduce the violation histograms of
 the simulated experiments.
 
 Reproducibility contract: run number i always draws from the dedicated
-stream ``default_rng([seed, i])``, so ensembles are bit-identical no matter
-how the runs are chunked over threads.
+stream ``default_rng([seed, i])``.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,35 +105,22 @@ def _run_frequencies(p, scheme, seed, run_index) -> tuple[np.ndarray, int]:
     return freq, rejections
 
 
-def frequencies_ensemble(p, scheme: SamplingScheme, runs: int, seed: int,
-                         threads: int = 1) -> tuple[np.ndarray, int]:
-    """Frequency estimators of ``runs`` independent runs, shape (runs, 16).
-
-    Identical output for any thread count: runs are indexed, each with its
-    own seed-derived stream, and written to disjoint rows.
-    """
+def frequencies_ensemble(p, scheme: SamplingScheme, runs: int,
+                         seed: int) -> tuple[np.ndarray, int]:
+    """Frequency estimators of ``runs`` independent runs, shape (runs, 16),
+    plus the total number of rejected draws."""
     if runs < 1:
         raise ValueError("need at least one run")
+    if scheme.allocation is Allocation.UNIFORM_RANDOM and scheme.n_trials < 4:
+        # fewer trials than setting blocks: every draw would be rejected
+        raise ValueError("uniform-random allocation needs at least 4 trials per run")
     arr = check_distribution(p, tol=1e-9)
     out = np.empty((runs, DIM))
-    rejections = np.zeros(max(threads, 1), dtype=np.int64)
-
-    def fill(worker: int, lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            out[i], rej = _run_frequencies(arr, scheme, seed, i)
-            rejections[worker] += rej
-
-    if threads <= 1:
-        fill(0, 0, runs)
-    else:
-        bounds = np.linspace(0, runs, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(fill, w, bounds[w], bounds[w + 1]) for w in range(threads)
-            ]
-            for f in futures:
-                f.result()
-    return out, int(rejections.sum())
+    rejections = 0
+    for i in range(runs):
+        out[i], rej = _run_frequencies(arr, scheme, seed, i)
+        rejections += rej
+    return out, rejections
 
 
 @dataclass(frozen=True)
@@ -180,7 +165,7 @@ class EnsembleReport:
 
 
 def run_ensemble(p, betas: list[BellInequality], scheme: SamplingScheme,
-                 runs: int, seed: int, threads: int = 1) -> EnsembleReport:
+                 runs: int, seed: int) -> EnsembleReport:
     """Evaluate every inequality on the same simulated runs.
 
     All inequalities see identical counts run by run, which is what makes
@@ -189,7 +174,7 @@ def run_ensemble(p, betas: list[BellInequality], scheme: SamplingScheme,
     betas = list(betas)
     if not betas:
         raise ValueError("need at least one inequality")
-    freqs, rejections = frequencies_ensemble(p, scheme, runs, seed, threads=threads)
+    freqs, rejections = frequencies_ensemble(p, scheme, runs, seed)
     coeff_matrix = np.stack([b.coeffs for b in betas], axis=1)
     values = freqs @ coeff_matrix
     return EnsembleReport(

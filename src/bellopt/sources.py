@@ -6,9 +6,11 @@ read out by noisy Z projectors.
 
 ``spdc_distribution``: a nondeterministic photon-pair source.  Two truncated
 parametric pair-creation operators populate the H/V polarization modes of
-two parties, photon loss acts on every mode, a polarization rotation per
-party selects the measurement basis, and a click/no-click detector on each
-party's H mode defines the outcomes (1 = detection).
+two parties.  Each party's measurement is a polarization rotation followed
+by a click/no-click detector on its H mode (1 = detection); photon loss on
+every mode is folded into that detector as an effect in the Heisenberg
+picture, so the state never carries environment modes (detector
+inefficiency as loss: Eberhard, PRA 47, R747 (1993)).
 
 Both models return exactly nonsignaling, normalized behaviors.
 """
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .space import DIM, vector_index
 
@@ -142,11 +143,6 @@ def nv_distribution(lam: float = NV_LAMBDA,
     return p
 
 
-def nv_reference_distribution() -> np.ndarray:
-    """The published spin-pair behavior (two-decimal matrix in the sources)."""
-    return nv_distribution()
-
-
 def nv_symmetric_distribution() -> np.ndarray:
     """Output-flip-symmetric idealization: perfect readout, reference state/angles."""
     return nv_distribution(readout=ReadoutModel(1.0, 1.0, 1.0, 1.0))
@@ -190,43 +186,14 @@ def _pair_source(mu: float, dim: int) -> np.ndarray:
     return math.exp(-mu / 2.0) * out
 
 
-def _loss_operator(eta: float, dim: int) -> np.ndarray:
-    """Single-operator (coherent) loss model on one mode:
-    sum_n (1-eta)^(n/2) eta^(N/2) a^n / sqrt(n!).
-
-    This keeps loss branches coherent, which is unphysical; it is retained
-    for comparison only (see ``spdc_distribution`` loss models).
-    """
-    a = _lowering(dim)
-    damp = np.diag([eta ** (m / 2.0) for m in range(dim)])
-    out = np.zeros((dim, dim))
-    an = np.eye(dim)
-    for n in range(dim):
-        out += ((1.0 - eta) ** (n / 2.0) / math.sqrt(math.factorial(n))) * (damp @ an)
-        an = an @ a
-    return out
-
-
-def _loss_unitary(eta: float, dim: int) -> np.ndarray:
-    """Beamsplitter purification of the loss channel on (mode, environment):
-    mode keeps amplitude sqrt(eta), the environment takes the rest."""
-    a = _lowering(dim)
-    at = a.T
-    gen = np.kron(at, a) - np.kron(a, at)
-    return expm(math.acos(math.sqrt(eta)) * gen)
-
-
 def _mode_rotation(theta: float, dim: int) -> np.ndarray:
-    """Two-mode polarization rotation U with U+ a_H U = cos a_H + sin a_V."""
+    """Two-mode polarization rotation U with U+ a_H U = cos a_H + sin a_V,
+    exp(theta G) from the eigendecomposition of the Hermitian -iG."""
     a = _lowering(dim)
     at = a.T
     gen = np.kron(at, a) - np.kron(a, at)
-    return expm(theta * gen)
-
-
-def _apply_single(op: np.ndarray, psi: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(op, psi, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+    w, v = np.linalg.eigh(-1j * gen)
+    return ((v * np.exp(1j * theta * w)) @ v.conj().T).real
 
 
 def _apply_pair(op: np.ndarray, psi: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
@@ -236,16 +203,27 @@ def _apply_pair(op: np.ndarray, psi: np.ndarray, axes: tuple[int, int]) -> np.nd
     return np.moveaxis(out, [0, 1], list(axes))
 
 
-def _click_probabilities(psi: np.ndarray) -> np.ndarray:
-    """Joint click/no-click probabilities from the H-mode occupations.
-
-    Outcome 1 = at least one photon in the party's H mode (axes 0 and 2);
-    every other axis is traced out.  Returns (q00, q10, q01, q11) in
-    (a + 2b) order, unnormalized.
-    """
-    other = tuple(k for k in range(psi.ndim) if k not in (0, 2))
-    w = (psi ** 2).sum(axis=other)
-    return np.array([w[0, 0], w[1:, 0].sum(), w[0, 1:].sum(), w[1:, 1:].sum()])
+def _no_click_effect(theta: float, eta: float, dim: int) -> np.ndarray:
+    """One party's no-click effect on its (H, V) modes: loss of transmission
+    ``eta`` on both modes, the rotation U, then H-mode vacuum,
+    F = sum_{kH,kV} (K_kH x K_kV)^T U^T (|0><0|_H x 1_V) U (K_kH x K_kV)
+    with loss Kraus operators K_n = (1-eta)^(n/2)/sqrt(n!) eta^(N/2) a^n."""
+    a = _lowering(dim)
+    damp = np.diag(eta ** (np.arange(dim) / 2.0))
+    kraus, an = [], np.eye(dim)
+    for n in range(dim):
+        kraus.append(((1.0 - eta) ** (n / 2.0) / math.sqrt(math.factorial(n))) * (damp @ an))
+        an = an @ a
+    u = _mode_rotation(theta, dim)
+    vacuum_h = np.zeros((dim, dim))
+    vacuum_h[0, 0] = 1.0
+    g = u.T @ np.kron(vacuum_h, np.eye(dim)) @ u
+    out = np.zeros_like(g)
+    for k_h in kraus:
+        for k_v in kraus:
+            k = np.kron(k_h, k_v)
+            out += k.T @ g @ k
+    return out
 
 
 def spdc_distribution(mu: float = SPDC_MU,
@@ -253,8 +231,7 @@ def spdc_distribution(mu: float = SPDC_MU,
                       eta_a: float = SPDC_ETA_A,
                       eta_b: float = SPDC_ETA_B,
                       angles: MeasurementAngles | None = None,
-                      cutoff: int = SPDC_CUTOFF,
-                      loss_model: str = "channel") -> np.ndarray:
+                      cutoff: int = SPDC_CUTOFF) -> np.ndarray:
     """Behavior of the photon-pair setup.
 
     ``mu`` is the total mean pair number, split as mu_V = mu/(1+r^2) and
@@ -263,14 +240,9 @@ def spdc_distribution(mu: float = SPDC_MU,
     are the per-party transmissions applied to every mode.  Fock spaces are
     truncated at ``cutoff`` photons per mode.
 
-    ``loss_model`` selects how photons are lost:
-
-    * ``"channel"`` (reference): the proper loss channel, realized exactly by
-      a beamsplitter into a traced-out environment mode.  This reproduces the
-      published behavior.
-    * ``"coherent"``: the single-operator model that keeps loss branches
-      coherent.  Kept for comparison; its interference terms distort the
-      click marginals.
+    Each cell is p(ab|xy) = <psi| E_a x E_b |psi> with E_0 the party's
+    no-click effect (loss, rotation, H-mode vacuum) and E_1 = 1 - E_0; the
+    four cells of a block are normalized by their sum.
     """
     if mu < 0.0:
         raise ValueError("mean pair number must be nonnegative")
@@ -281,51 +253,33 @@ def spdc_distribution(mu: float = SPDC_MU,
             raise ValueError(f"transmission {eta} outside [0, 1]")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1 photon")
-    if loss_model not in ("channel", "coherent"):
-        raise ValueError(f"unknown loss model {loss_model!r}")
     angles = angles or spdc_reference_angles()
 
     d = cutoff + 1
     mu_v = mu / (1.0 + ratio ** 2)
     mu_h = ratio ** 2 * mu / (1.0 + ratio ** 2)
 
-    # state tensor axes: (a_H, a_V, b_H, b_V); the channel model appends one
-    # environment axis per mode (axes 4..7)
+    # state tensor axes: (a_H, a_V, b_H, b_V)
     psi = np.zeros((d, d, d, d))
     psi[0, 0, 0, 0] = 1.0
     psi = _apply_pair(_pair_source(mu_v, d), psi, (1, 3))
     psi = _apply_pair(_pair_source(mu_h, d), psi, (0, 2))
-
-    etas = (eta_a, eta_a, eta_b, eta_b)
-    if loss_model == "channel":
-        env = np.zeros((d, d, d, d))
-        env[0, 0, 0, 0] = 1.0
-        psi = np.multiply.outer(psi, env)
-        for mode, eta in enumerate(etas):
-            psi = _apply_pair(_loss_unitary(eta, d), psi, (mode, mode + 4))
-    else:
-        for mode, eta in enumerate(etas):
-            psi = _apply_single(_loss_operator(eta, d), psi, mode)
+    psi = psi.reshape(d * d, d * d)  # rows (a_H, a_V), columns (b_H, b_V)
 
     # relative rotation sense between the parties is fixed by the reference
     # behavior: the V->H leakage must interfere destructively with the HH
     # pair amplitude at the (1,1) settings
-    rot_a = [_mode_rotation(t, d) for t in angles.alice]
-    rot_b = [_mode_rotation(-t, d) for t in angles.bob]
+    one = np.eye(d * d)
+    eff_a = [(f, one - f) for f in (_no_click_effect(t, eta_a, d) for t in angles.alice)]
+    eff_b = [(f, one - f) for f in (_no_click_effect(-t, eta_b, d) for t in angles.bob)]
 
     p = np.empty(DIM)
     for x in range(2):
         for y in range(2):
-            rotated = _apply_pair(rot_a[x], psi, (0, 1))
-            rotated = _apply_pair(rot_b[y], rotated, (2, 3))
-            q = _click_probabilities(rotated)
+            q = np.array([np.sum(psi * (ea @ psi @ eb))
+                          for eb in eff_b[y] for ea in eff_a[x]])
             q /= q.sum()
             for a in range(2):
                 for b in range(2):
                     p[vector_index(a, b, x, y)] = q[a + 2 * b]
     return p
-
-
-def spdc_reference_distribution() -> np.ndarray:
-    """The published photon-pair behavior (two-significant-figure matrix)."""
-    return spdc_distribution()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import simulate
-from .inequalities import BellInequality
+from .inequalities import BellInequality, sigma_ratio  # noqa: F401  (re-exported)
 from .sampling import Allocation, SamplingScheme
 from .space import DIM, Subspace, block_indices, check_distribution, projector, q_basis, subspace_signs
 
@@ -54,16 +54,15 @@ def analytic_covariance(p, scheme: SamplingScheme) -> np.ndarray:
     return sigma
 
 
-def mc_covariance(p, scheme: SamplingScheme, runs: int, seed: int, threads: int = 1) -> np.ndarray:
+def mc_covariance(p, scheme: SamplingScheme, runs: int, seed: int) -> np.ndarray:
     """Sample covariance of the per-run frequency estimators.
 
-    Deterministic given the seed: run i draws from the stream (seed, i), so
-    parallel and sequential execution agree.  Degenerate samples produce the
-    zero matrix.
+    Deterministic given the seed: run i draws from the stream (seed, i).
+    Degenerate samples produce the zero matrix.
     """
     if runs < 2:
         raise ValueError("need at least two runs for a sample covariance")
-    freqs, _ = simulate.frequencies_ensemble(p, scheme, runs, seed, threads=threads)
+    freqs, _ = simulate.frequencies_ensemble(p, scheme, runs, seed)
     return np.cov(freqs, rowvar=False, ddof=1)
 
 
@@ -75,13 +74,6 @@ def std_dev(beta, sigma) -> float:
     if quad < -1e-12:
         raise ValueError(f"quadratic form is negative ({quad:g}); invalid covariance")
     return float(np.sqrt(max(quad, 0.0)))
-
-
-def sigma_ratio(value: float, bound: float, sd: float) -> float:
-    """(value - bound) / sd, the violation in standard deviations."""
-    if not sd > 0.0:
-        raise ValueError(f"standard deviation must be positive, got {sd}")
-    return (value - bound) / sd
 
 
 def _si_basis() -> np.ndarray:

@@ -34,7 +34,7 @@ from bellopt.relabel import (
 )
 from bellopt.sampling import SamplingScheme
 from bellopt.simulate import run_ensemble
-from bellopt.sources import nv_reference_distribution, spdc_distribution
+from bellopt.sources import nv_distribution, spdc_distribution
 from bellopt.space import (
     DIM,
     Subspace,
@@ -77,7 +77,7 @@ def _report(name: str, checks: list) -> None:
 
 @pytest.fixture(scope="module")
 def p1_model():
-    return nv_reference_distribution()
+    return nv_distribution()
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +178,7 @@ def test_ac03_catalog_equivalence(p1_model, p2_model):
 
 def test_ac04_nv_model(p1_model):
     t0 = time.perf_counter()
-    p = nv_reference_distribution()
+    p = nv_distribution()
     elapsed = time.perf_counter() - t0
     dev = float(np.max(np.abs(p - p1_printed())))
     unshifted = catalog("CHSH").value(p) + 2.0

@@ -10,7 +10,7 @@ from bellopt.cli import main
 from bellopt.inequalities import catalog, inequality_from_json
 from bellopt.sampling import SamplingScheme
 from bellopt.simulate import run_ensemble
-from bellopt.sources import nv_reference_distribution, spdc_distribution
+from bellopt.sources import nv_distribution, spdc_distribution
 
 
 def run_cli(*argv):
@@ -71,7 +71,7 @@ def test_model_nv_default_matches_library(tmp_path):
     out = tmp_path / "p1.json"
     assert run_cli("model", "nv", "--output", str(out)) == 0
     p = space.vector_from_json(read_json(out))
-    assert np.allclose(p, nv_reference_distribution(), atol=0)
+    assert np.allclose(p, nv_distribution(), atol=0)
 
 
 def test_model_nv_angle_flags(tmp_path):
@@ -96,7 +96,7 @@ def test_model_spdc_flags(tmp_path):
 
 def test_optimize_artifacts(tmp_path):
     inp = tmp_path / "p1.json"
-    inp.write_text(json.dumps(space.vector_to_json(nv_reference_distribution())))
+    inp.write_text(json.dumps(space.vector_to_json(nv_distribution())))
     out = tmp_path / "bstar.json"
     rep = tmp_path / "report.json"
     assert run_cli(
@@ -105,7 +105,7 @@ def test_optimize_artifacts(tmp_path):
         "--output", str(out), "--report", str(rep),
     ) == 0
     bstar = inequality_from_json(read_json(out))
-    sigma = variance.analytic_covariance(nv_reference_distribution(), SamplingScheme(245))
+    sigma = variance.analytic_covariance(nv_distribution(), SamplingScheme(245))
     expected = variance.optimal_variant(catalog("CH"), sigma)
     assert np.allclose(bstar.coeffs, expected.coeffs, atol=0)
     report = read_json(rep)
@@ -129,7 +129,7 @@ def test_optimize_mc_covariance_deterministic(tmp_path):
 
 def test_simulate_artifacts_and_determinism(tmp_path):
     inp = tmp_path / "p1.json"
-    inp.write_text(json.dumps(space.vector_to_json(nv_reference_distribution())))
+    inp.write_text(json.dumps(space.vector_to_json(nv_distribution())))
     summary_path = tmp_path / "summary.json"
     hist_path = tmp_path / "hist.csv"
     vals_path = tmp_path / "vals.csv"
@@ -146,7 +146,7 @@ def test_simulate_artifacts_and_determinism(tmp_path):
 
     summary = read_json(summary_path)
     expected = run_ensemble(
-        nv_reference_distribution(), [catalog("CHSH"), catalog("CH")],
+        nv_distribution(), [catalog("CHSH"), catalog("CH")],
         SamplingScheme(245), runs=400, seed=21,
     )
     assert summary["inequalities"]["CHSH"]["mean"] == pytest.approx(expected.mean("CHSH"))
@@ -171,6 +171,15 @@ def test_invalid_distribution_fails(tmp_path, capsys):
     inp.write_text(json.dumps({"coeffs": [0.5] * 16}))
     assert run_cli("simulate", "--input", str(inp), "--trials", "16", "--runs", "2") == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
+def test_simulate_random_allocation_below_four_trials_fails(tmp_path, capsys):
+    inp = tmp_path / "p.json"
+    inp.write_text(json.dumps(space.vector_to_json(boxes.uniform_box())))
+    assert run_cli("simulate", "--input", str(inp), "--allocation", "random",
+                   "--trials", "3", "--runs", "2") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "at least 4 trials" in err["message"]
 
 
 def test_optimize_rejects_ambiguous_inequality_choice(tmp_path, capsys):

@@ -146,14 +146,6 @@ def test_ensemble_rows_match_per_run_streams(rng):
         assert np.array_equal(freqs[i], frequencies(rc))
 
 
-def test_run_ensemble_thread_invariance():
-    p = boxes.tsirelson_box()
-    betas = [catalog("CHSH")]
-    a = run_ensemble(p, betas, SamplingScheme(64), runs=500, seed=5, threads=1)
-    b = run_ensemble(p, betas, SamplingScheme(64), runs=500, seed=5, threads=3)
-    assert np.array_equal(a.values, b.values)
-
-
 def test_uniform_random_allocation_rejects_empty_blocks():
     # tiny trial counts make empty setting blocks likely; they are redrawn
     p = boxes.uniform_box()
@@ -164,6 +156,15 @@ def test_uniform_random_allocation_rejects_empty_blocks():
         for x in range(2):
             for y in range(2):
                 assert row[block_indices(x, y)].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_uniform_random_allocation_below_four_trials_raises():
+    # four setting blocks cannot all be filled by fewer than four trials, so
+    # rejection sampling would never terminate
+    for n in (1, 2, 3):
+        scheme = SamplingScheme(n, Allocation.UNIFORM_RANDOM)
+        with pytest.raises(ValueError, match="at least 4 trials"):
+            frequencies_ensemble(boxes.uniform_box(), scheme, runs=1, seed=0)
 
 
 def test_report_summary_recomputable():

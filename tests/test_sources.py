@@ -11,7 +11,6 @@ from bellopt.sources import (
     MeasurementAngles,
     ReadoutModel,
     nv_distribution,
-    nv_reference_distribution,
     nv_symmetric_distribution,
     spdc_distribution,
     spdc_reference_angles,
@@ -48,21 +47,21 @@ def test_readout_model_validation():
 
 
 def test_nv_reproduces_published_behavior():
-    p = nv_reference_distribution()
+    p = nv_distribution()
     assert np.max(np.abs(p - p1_printed())) < 0.005
 
 
 def test_nv_unshifted_chsh_violation():
-    p = nv_reference_distribution()
+    p = nv_distribution()
     assert catalog("CHSH").value(p) + 2.0 == pytest.approx(CHSH_UNSHIFTED_VALUE, abs=0.01)
 
 
 def test_nv_rescaled_chsh_violation():
-    assert catalog("CHSH").value(nv_reference_distribution()) == pytest.approx(0.30, abs=0.005)
+    assert catalog("CHSH").value(nv_distribution()) == pytest.approx(0.30, abs=0.005)
 
 
 def test_nv_behavior_is_valid_and_nonsignaling():
-    p = nv_reference_distribution()
+    p = nv_distribution()
     assert np.min(p) >= 0.0
     assert is_nonsignaling(p, tol=1e-10)
     for x in range(2):
@@ -186,18 +185,12 @@ def test_spdc_balanced_source_is_party_symmetric():
 
 
 def test_spdc_channel_loss_matches_kraus_branch_oracle():
-    # independent oracle: sum the explicit loss Kraus branches |K psi|^2 and
-    # compare with the beamsplitter-purification path, at parameters where
-    # losses matter
+    # independent oracle: sum the explicit loss Kraus branches |K psi|^2 in
+    # the Schroedinger picture and compare with the no-click-effect path, at
+    # parameters where losses matter
     import itertools
 
-    from bellopt.sources import (
-        _apply_pair,
-        _apply_single,
-        _click_probabilities,
-        _mode_rotation,
-        _pair_source,
-    )
+    from bellopt.sources import _apply_pair, _mode_rotation, _pair_source
     from bellopt.space import DIM
 
     cutoff, mu, ratio, eta_a, eta_b = 3, 0.05, 0.5, 0.6, 0.8
@@ -209,6 +202,21 @@ def test_spdc_channel_loss_matches_kraus_branch_oracle():
         for n in range(1, dim):
             m[n - 1, n] = math.sqrt(n)
         return m
+
+    def _apply_single(op: np.ndarray, psi: np.ndarray, axis: int) -> np.ndarray:
+        out = np.tensordot(op, psi, axes=([1], [axis]))
+        return np.moveaxis(out, 0, axis)
+
+    def _click_probabilities(psi: np.ndarray) -> np.ndarray:
+        """Joint click/no-click probabilities from the H-mode occupations.
+
+        Outcome 1 = at least one photon in the party's H mode (axes 0 and 2);
+        every other axis is traced out.  Returns (q00, q10, q01, q11) in
+        (a + 2b) order, unnormalized.
+        """
+        other = tuple(k for k in range(psi.ndim) if k not in (0, 2))
+        w = (psi ** 2).sum(axis=other)
+        return np.array([w[0, 0], w[1:, 0].sum(), w[0, 1:].sum(), w[1:, 1:].sum()])
 
     def kraus_ops(eta, dim):
         a = lowering(dim)
@@ -246,17 +254,8 @@ def test_spdc_channel_loss_matches_kraus_branch_oracle():
                     oracle[vector_index(a, b, x, y)] = q[a + 2 * b]
 
     p = spdc_distribution(mu=mu, ratio=ratio, eta_a=eta_a, eta_b=eta_b,
-                          angles=angles, cutoff=cutoff, loss_model="channel")
+                          angles=angles, cutoff=cutoff)
     assert np.max(np.abs(p - oracle)) < 1e-12
-
-
-def test_spdc_coherent_loss_variant_differs():
-    # the single-operator loss model keeps loss branches coherent; its
-    # interference shifts the click marginals away from the channel model
-    p_chan = spdc_distribution()
-    p_coh = spdc_distribution(loss_model="coherent")
-    assert is_nonsignaling(p_coh, tol=1e-10)
-    assert np.max(np.abs(p_coh - p_chan)) > 1e-6
 
 
 def test_spdc_parameter_validation():
@@ -268,8 +267,6 @@ def test_spdc_parameter_validation():
         spdc_distribution(ratio=-0.1)
     with pytest.raises(ValueError):
         spdc_distribution(cutoff=0)
-    with pytest.raises(ValueError):
-        spdc_distribution(loss_model="bogus")
 
 
 def test_spdc_angles_default():

@@ -147,9 +147,9 @@ def test_mc_covariance_converges_to_analytic():
 
 def test_mc_covariance_reproduces_published_spread():
     # the spin-pair setup at 245 trials per run
-    from bellopt.sources import nv_reference_distribution
+    from bellopt.sources import nv_distribution
 
-    sigma = mc_covariance(nv_reference_distribution(), SamplingScheme(245),
+    sigma = mc_covariance(nv_distribution(), SamplingScheme(245),
                           runs=100_000, seed=55)
     assert std_dev(catalog("CHSH"), sigma) == pytest.approx(0.211, rel=0.02)
 
@@ -162,14 +162,6 @@ def test_mc_covariance_seed_repeatable():
     assert np.array_equal(a, b)
     c = mc_covariance(p, scheme, runs=500, seed=12)
     assert not np.array_equal(a, c)
-
-
-def test_mc_covariance_thread_count_invariance():
-    p = boxes.tsirelson_box()
-    scheme = SamplingScheme(64, Allocation.UNIFORM_RANDOM)
-    a = mc_covariance(p, scheme, runs=400, seed=3, threads=1)
-    b = mc_covariance(p, scheme, runs=400, seed=3, threads=4)
-    assert np.array_equal(a, b)
 
 
 def test_mc_covariance_degenerate_samples():
