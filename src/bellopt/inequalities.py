@@ -40,27 +40,18 @@ class BellInequality:
 
 
 def _display_to_vector(rows) -> np.ndarray:
-    """Convert the 4x4 block-matrix layout (rows (x,a), columns (y,b)) to a vector."""
+    """Convert the 4x4 block-matrix layout (rows (x,a), columns (y,b)) to a vector.
+
+    Row 2x + a, column 2y + b holds v[y, x, b, a] of the tensor view
+    ``v.reshape(2, 2, 2, 2)``.
+    """
     m = np.asarray(rows, dtype=float)
-    v = np.empty(space.DIM)
-    for a in range(2):
-        for b in range(2):
-            for x in range(2):
-                for y in range(2):
-                    v[space.vector_index(a, b, x, y)] = m[2 * x + a, 2 * y + b]
-    return v
+    return m.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).ravel()
 
 
 def vector_to_display(v) -> np.ndarray:
     """Inverse of the block-matrix layout used by ``_display_to_vector``."""
-    arr = as_vector(v)
-    m = np.empty((4, 4))
-    for a in range(2):
-        for b in range(2):
-            for x in range(2):
-                for y in range(2):
-                    m[2 * x + a, 2 * y + b] = arr[space.vector_index(a, b, x, y)]
-    return m
+    return as_vector(v).reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
 
 
 # Rescaled CHSH: (-1)^(xy) (-1)^(a+b) - 1/2, i.e. the familiar correlator form

@@ -191,22 +191,27 @@ def averaging_projector(elements=None) -> np.ndarray:
 
 
 def commutant_dimension(elements=None) -> int:
-    """Dimension of {M : M A_g = A_g M for all g}, by a dense null-space count.
+    """Dimension of {M : M A_g = A_g M for all g}, by an exact orbit count.
 
-    Stacks the 256-unknown linear constraints of every element and counts the
-    zero singular values.  Equals the number of irreducible components when
-    the representation is multiplicity-free.
+    For a permutation action, M commutes with A_g iff
+    M[pi_g(i), pi_g(j)] = M[i, j], so M is constant on the orbits of the 256
+    index pairs (i, j) under the group the elements generate, and free across
+    them: the dimension is the number of orbits.  Each pair takes the smallest
+    pair index reachable from it; a permutation's inverse is one of its
+    powers, so reachability is the orbit even when ``elements`` is not a
+    whole group.  Equals the number of irreducible components when the
+    representation is multiplicity-free.
     """
     if elements is None:
         elements = enumerate_group()
-    eye = np.eye(DIM)
-    rows = []
-    for g in elements:
-        A = matrix_of(g)
-        rows.append(np.kron(A, eye) - np.kron(eye, A.T))
-    K = np.concatenate(rows, axis=0)
-    svals = np.linalg.svd(K, compute_uv=False)
-    return int(np.sum(svals < 1e-9 * max(1.0, svals[0])))
+    perms = np.stack([permutation_of(g) for g in elements])
+    images = (perms[:, :, None] * DIM + perms[:, None, :]).reshape(len(perms), DIM * DIM)
+    label = np.arange(DIM * DIM)
+    while True:
+        nxt = np.minimum(label, label[images].min(axis=0))
+        if np.array_equal(nxt, label):
+            return len(np.unique(label))
+        label = nxt
 
 
 def cayley_checksum(elements=None) -> str:

@@ -5,8 +5,13 @@ A run draws N trials from a behavior under a sampling scheme and records the
 trial count N(xy).  Ensembles of runs reproduce the violation histograms of
 the simulated experiments.
 
-Reproducibility contract: run number i always draws from the dedicated
-stream ``default_rng([seed, i])``.
+Reproducibility contract: runs are drawn in chunks of ``CHUNK``.  Chunk c
+covers runs c*CHUNK ... (c+1)*CHUNK - 1 and draws them all from the stream
+``default_rng([seed, c])``: first the per-block trial counts N(xy) of every
+run (redrawing, under uniform-random allocation, the runs with an empty
+block), then the cell counts of each setting block for all runs at once.  An
+ensemble is therefore a prefix of any longer ensemble with the same seed, up
+to its last whole chunk.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from .inequalities import BellInequality
 from .sampling import Allocation, SamplingScheme
 from .space import DIM, block_indices, check_distribution
 
-#: per-setting-block cell indices in block-id order (x + 2y)
-_BLOCK_INDEX = [block_indices(k % 2, k // 2) for k in range(4)]
+#: runs per chunk; chunk c draws from the stream ``default_rng([seed, c])``
+CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -45,81 +50,87 @@ class RunCounts:
         return int(self.counts[block_indices(x, y)].sum())
 
 
-def _draw_counts(p: np.ndarray, scheme: SamplingScheme, rng: np.random.Generator) -> np.ndarray:
-    # clip the tolerance-level negatives admitted by check_distribution;
-    # multinomial sampling requires exact nonnegativity
-    p = np.clip(p, 0.0, None)
-    counts = np.zeros(DIM, dtype=np.int64)
+def _block_totals(p: np.ndarray, scheme: SamplingScheme, rng: np.random.Generator,
+                  k: int) -> np.ndarray:
+    """Per-block trial counts N(xy) of k runs, shape (k, 4), block id x + 2y."""
     if scheme.allocation is Allocation.FIXED_EQUAL:
-        per_block = scheme.block_counts()
-        for k, idx in enumerate(_BLOCK_INDEX):
-            pb = p[idx]
-            counts[idx] = rng.multinomial(per_block[k], pb / pb.sum())
-    else:
-        # uniform random settings: joint cell probabilities p/4
-        q = p / 4.0
-        counts[:] = rng.multinomial(scheme.n_trials, q / q.sum())
+        return np.broadcast_to(scheme.block_counts(), (k, 4))
+    # uniform random settings: each trial lands in block b with its share of
+    # the (clipped) probability mass, 1/4 for a normalized behavior
+    w = p.reshape(4, 4).sum(axis=1)
+    return rng.multinomial(scheme.n_trials, w / w.sum(), size=k)
+
+
+def _cell_counts(p: np.ndarray, n_xy: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Cell counts N(abxy) of k runs with block totals ``n_xy``, shape (k, 16).
+
+    Block b holds cells 4b ... 4b+3, so each block is one multinomial draw
+    for all k runs.
+    """
+    counts = np.empty((n_xy.shape[0], DIM), dtype=np.int64)
+    for b, pb in enumerate(p.reshape(4, 4)):
+        counts[:, 4 * b:4 * b + 4] = rng.multinomial(n_xy[:, b], pb / pb.sum())
     return counts
 
 
+def _clipped(p) -> np.ndarray:
+    # clip the tolerance-level negatives admitted by check_distribution;
+    # multinomial sampling requires exact nonnegativity
+    return np.clip(check_distribution(p, tol=1e-9), 0.0, None)
+
+
 def simulate_run(p, scheme: SamplingScheme, rng: np.random.Generator) -> RunCounts:
-    """One simulated run; deterministic given the generator state."""
-    arr = check_distribution(p, tol=1e-9)
-    return RunCounts(_draw_counts(arr, scheme, rng))
+    """One simulated run; deterministic given the generator state.
+
+    Nothing is rejected: under uniform-random allocation a block may be empty.
+    """
+    arr = _clipped(p)
+    return RunCounts(_cell_counts(arr, _block_totals(arr, scheme, rng, 1), rng)[0])
 
 
 def frequencies(counts) -> np.ndarray:
-    """Per-block relative frequencies N(abxy) / N(xy).
+    """Per-block relative frequencies N(abxy) / N(xy) of one run, shape (16,),
+    or of each of k runs, shape (k, 16).
 
     The result is normalized by construction but generally signaling: the
     sampling noise has components in the signaling subspace.
     """
     arr = np.asarray(getattr(counts, "counts", counts), dtype=np.int64)
-    freq = np.empty(DIM)
-    for idx in _BLOCK_INDEX:
-        n = arr[idx].sum()
-        if n == 0:
-            raise ValueError("a setting block has no trials; frequencies undefined")
-        freq[idx] = arr[idx] / n
-    return freq
-
-
-def _run_frequencies(p, scheme, seed, run_index) -> tuple[np.ndarray, int]:
-    """Frequencies of run ``run_index`` plus the number of rejected draws.
-
-    Uniform-random draws that leave a setting block empty are redrawn from the
-    same stream (the frequency estimator is undefined on them); at realistic
-    trial counts rejections are vanishingly rare.
-    """
-    rng = np.random.default_rng([seed, run_index])
-    rejections = 0
-    while True:
-        counts = _draw_counts(p, scheme, rng)
-        block_totals = [counts[idx].sum() for idx in _BLOCK_INDEX]
-        if min(block_totals) > 0:
-            break
-        rejections += 1
-    freq = np.empty(DIM)
-    for idx, n in zip(_BLOCK_INDEX, block_totals):
-        freq[idx] = counts[idx] / n
-    return freq, rejections
+    blocks = arr.reshape(arr.shape[:-1] + (4, 4))  # block b holds cells 4b ... 4b+3
+    n_xy = blocks.sum(axis=-1, keepdims=True)
+    if np.min(n_xy) == 0:
+        raise ValueError("a setting block has no trials; frequencies undefined")
+    return (blocks / n_xy).reshape(arr.shape)
 
 
 def frequencies_ensemble(p, scheme: SamplingScheme, runs: int,
                          seed: int) -> tuple[np.ndarray, int]:
     """Frequency estimators of ``runs`` independent runs, shape (runs, 16),
-    plus the total number of rejected draws."""
+    plus the total number of rejected draws.
+
+    Uniform-random draws that leave a setting block empty are redrawn from the
+    chunk's stream (the frequency estimator is undefined on them); each
+    redrawn run counts one rejection.  At realistic trial counts rejections
+    are vanishingly rare.
+    """
     if runs < 1:
         raise ValueError("need at least one run")
     if scheme.allocation is Allocation.UNIFORM_RANDOM and scheme.n_trials < 4:
         # fewer trials than setting blocks: every draw would be rejected
         raise ValueError("uniform-random allocation needs at least 4 trials per run")
-    arr = check_distribution(p, tol=1e-9)
+    arr = _clipped(p)
     out = np.empty((runs, DIM))
     rejections = 0
-    for i in range(runs):
-        out[i], rej = _run_frequencies(arr, scheme, seed, i)
-        rejections += rej
+    for c, start in enumerate(range(0, runs, CHUNK)):
+        rng = np.random.default_rng([seed, c])
+        k = min(CHUNK, runs - start)
+        n_xy = _block_totals(arr, scheme, rng, k)
+        empty = np.flatnonzero(np.min(n_xy, axis=1) == 0)
+        while empty.size:
+            rejections += empty.size
+            n_xy[empty] = _block_totals(arr, scheme, rng, empty.size)
+            empty = empty[np.min(n_xy[empty], axis=1) == 0]
+        out[start:start + k] = frequencies(_cell_counts(arr, n_xy, rng))
     return out, rejections
 
 

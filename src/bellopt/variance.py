@@ -20,12 +20,25 @@ from .sampling import Allocation, SamplingScheme
 from .space import DIM, Subspace, block_indices, check_distribution, projector, q_basis, subspace_signs
 
 
-def check_covariance(sigma, sym_tol: float = 1e-12, eig_tol: float = 1e-10) -> np.ndarray:
-    """Validate shape, symmetry and positive semidefiniteness (to tolerance)."""
+#: negative eigenvalues (and quadratic forms) down to this fraction of the
+#: covariance's own scale are accepted as rounding
+EIG_TOL = 1e-10
+
+
+def check_covariance(sigma, sym_tol: float = 1e-12, eig_tol: float = EIG_TOL) -> np.ndarray:
+    """Validate shape, symmetry and positive semidefiniteness.
+
+    Both tolerances are relative to the largest entry, so the verdict is the
+    same for S and c*S; a covariance at 1e8 trials has entries near 1e-12.
+    """
     S = np.asarray(sigma, dtype=float)
     if S.shape != (DIM, DIM):
         raise ValueError(f"covariance must be 16x16, got {S.shape}")
-    scale = max(1.0, float(np.max(np.abs(S))))
+    scale = float(np.max(np.abs(S)))  # nan or inf if any entry is
+    if not np.isfinite(scale):
+        raise ValueError("covariance entries must be finite")
+    if scale == 0.0:
+        return S  # e.g. the sample covariance of identical runs
     if np.max(np.abs(S - S.T)) > sym_tol * scale:
         raise ValueError("covariance is not symmetric")
     if float(np.linalg.eigvalsh(S)[0]) < -eig_tol * scale:
@@ -57,7 +70,8 @@ def analytic_covariance(p, scheme: SamplingScheme) -> np.ndarray:
 def mc_covariance(p, scheme: SamplingScheme, runs: int, seed: int) -> np.ndarray:
     """Sample covariance of the per-run frequency estimators.
 
-    Deterministic given the seed: run i draws from the stream (seed, i).
+    Deterministic given the seed: runs are drawn in chunks of
+    ``simulate.CHUNK``, chunk c from the stream (seed, c).
     Degenerate samples produce the zero matrix.
     """
     if runs < 2:
@@ -67,11 +81,15 @@ def mc_covariance(p, scheme: SamplingScheme, runs: int, seed: int) -> np.ndarray
 
 
 def std_dev(beta, sigma) -> float:
-    """Standard deviation sqrt(beta^T Sigma beta) of the inequality estimate."""
+    """Standard deviation sqrt(beta^T Sigma beta) of the inequality estimate.
+
+    A negative form is clipped to 0 only down to ``EIG_TOL`` |beta|^2 max|Sigma|,
+    about the most a covariance accepted by ``check_covariance`` can produce.
+    """
     coeffs = np.asarray(getattr(beta, "coeffs", beta), dtype=float)
     S = np.asarray(sigma, dtype=float)
     quad = float(coeffs @ S @ coeffs)
-    if quad < -1e-12:
+    if quad < 0.0 and quad < -EIG_TOL * float(coeffs @ coeffs) * float(np.max(np.abs(S))):
         raise ValueError(f"quadratic form is negative ({quad:g}); invalid covariance")
     return float(np.sqrt(max(quad, 0.0)))
 

@@ -163,18 +163,51 @@ def test_commutant_of_trivial_group():
     assert commutant_dimension([IDENTITY]) == 256
 
 
-def test_commutant_of_outcome_flips_only():
-    flips = [
+def _outcome_flips():
+    return [
         Relabeling(False,
                    PartyRelabeling((0, 1), (oa0, oa1)),
                    PartyRelabeling((0, 1), (ob0, ob1)))
         for oa0 in ((0, 1), (1, 0)) for oa1 in ((0, 1), (1, 0))
         for ob0 in ((0, 1), (1, 0)) for ob1 in ((0, 1), (1, 0))
     ]
+
+
+def test_commutant_of_outcome_flips_only():
+    flips = _outcome_flips()
     assert len(flips) == 16
     dim = commutant_dimension(flips)
     assert dim > 6
     assert dim == 36
+
+
+def _svd_commutant_dimension(elements) -> int:
+    """Oracle: null-space dimension of the stacked 256-unknown constraints
+    M A_g - A_g M = 0, counted from the singular values."""
+    eye = np.eye(DIM)
+    K = np.concatenate(
+        [np.kron(matrix_of(g), eye) - np.kron(eye, matrix_of(g).T) for g in elements]
+    )
+    svals = np.linalg.svd(K, compute_uv=False)
+    return int(np.sum(svals < 1e-9 * max(1.0, svals[0])))
+
+
+@pytest.mark.parametrize("elements, expected", [
+    (enumerate_group(), 6),
+    ([IDENTITY], 256),
+    (_outcome_flips(), 36),
+], ids=["group", "identity", "outcome-flips"])
+def test_commutant_dimension_matches_svd_oracle(elements, expected):
+    assert _svd_commutant_dimension(elements) == expected
+    assert commutant_dimension(elements) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(0, 127), min_size=1, max_size=4))
+def test_commutant_dimension_of_element_lists_matches_svd_oracle(indices):
+    # arbitrary element lists, generally not closed under composition
+    elements = [enumerate_group()[i] for i in indices]
+    assert commutant_dimension(elements) == _svd_commutant_dimension(elements)
 
 
 def test_cayley_checksum_is_stable():

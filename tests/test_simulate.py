@@ -9,6 +9,7 @@ from bellopt import boxes
 from bellopt.inequalities import catalog
 from bellopt.sampling import Allocation, SamplingScheme
 from bellopt.simulate import (
+    CHUNK,
     EnsembleReport,
     RunCounts,
     frequencies,
@@ -136,14 +137,61 @@ def test_run_ensemble_shares_counts_and_seed():
     assert a.sd("CH") > 1.5 * a.sd("CHSH")
 
 
-def test_ensemble_rows_match_per_run_streams(rng):
-    # row i of an ensemble equals a fresh run drawn from the stream (seed, i)
+def _reference_chunk(p, scheme, seed, c, k):
+    """Frequencies of chunk ``c`` (k runs) and its rejections, with the chunk
+    contract written out one numpy call at a time."""
+    rng = np.random.default_rng([seed, c])
+    p = np.clip(p, 0.0, None)
+    blocks = [block_indices(x, y) for y in range(2) for x in range(2)]  # id x + 2y
+    rejections = 0
+    if scheme.allocation is Allocation.FIXED_EQUAL:
+        n_xy = np.tile(scheme.block_counts(), (k, 1))
+        draws = [rng.multinomial(n, p[idx] / p[idx].sum(), size=k)
+                 for n, idx in zip(scheme.block_counts(), blocks)]
+    else:
+        w = np.array([p[idx].sum() for idx in blocks])
+        n_xy = rng.multinomial(scheme.n_trials, w / w.sum(), size=k)
+        bad = n_xy.min(axis=1) == 0
+        while bad.any():
+            rejections += int(bad.sum())
+            n_xy[bad] = rng.multinomial(scheme.n_trials, w / w.sum(), size=int(bad.sum()))
+            bad = n_xy.min(axis=1) == 0
+        draws = [rng.multinomial(n_xy[:, b], p[idx] / p[idx].sum())
+                 for b, idx in enumerate(blocks)]
+    freqs = np.empty((k, 16))
+    for b, idx in enumerate(blocks):
+        freqs[:, idx] = draws[b] / n_xy[:, b:b + 1]
+    return freqs, rejections
+
+
+@pytest.mark.parametrize("scheme", [
+    SamplingScheme(48),
+    SamplingScheme(245),
+    SamplingScheme(48, Allocation.UNIFORM_RANDOM),
+    SamplingScheme(5, Allocation.UNIFORM_RANDOM),  # frequent rejections
+], ids=["fixed-48", "fixed-245", "random-48", "random-5"])
+def test_ensemble_rows_follow_the_chunk_contract(rng, scheme):
+    # chunk c holds runs c*CHUNK ... (c+1)*CHUNK - 1, drawn from (seed, c);
+    # the last chunk here is partial
     p = boxes.random_nonsignaling(rng)
-    scheme = SamplingScheme(48)
-    freqs, _ = frequencies_ensemble(p, scheme, runs=5, seed=99)
-    for i in range(5):
-        rc = simulate_run(p, scheme, np.random.default_rng([99, i]))
-        assert np.array_equal(freqs[i], frequencies(rc))
+    runs = 2 * CHUNK + 5
+    freqs, rejections = frequencies_ensemble(p, scheme, runs=runs, seed=99)
+    ref_rejections = 0
+    for c, k in enumerate((CHUNK, CHUNK, 5)):
+        ref, rej = _reference_chunk(p, scheme, 99, c, k)
+        assert np.array_equal(freqs[c * CHUNK:c * CHUNK + k], ref)
+        ref_rejections += rej
+    assert rejections == ref_rejections
+
+
+@pytest.mark.parametrize("allocation", list(Allocation))
+def test_ensemble_of_whole_chunks_is_a_prefix(rng, allocation):
+    p = boxes.random_nonsignaling(rng)
+    scheme = SamplingScheme(64, allocation)
+    for m in (1, 2):
+        short, _ = frequencies_ensemble(p, scheme, runs=m * CHUNK, seed=3)
+        long, _ = frequencies_ensemble(p, scheme, runs=(m + 1) * CHUNK, seed=3)
+        assert np.array_equal(short, long[:m * CHUNK])
 
 
 def test_uniform_random_allocation_rejects_empty_blocks():

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellopt import boxes
 from bellopt.inequalities import BellInequality, catalog, ns_equivalent
 from bellopt.relabel import GLOBAL_OUTCOME_FLIP, matrix_of
 from bellopt.sampling import Allocation, SamplingScheme
-from bellopt.sources import nv_symmetric_distribution
+from bellopt.sources import nv_symmetric_distribution, spdc_distribution
 from bellopt.space import (
     DIM,
     Subspace,
@@ -136,6 +138,50 @@ def test_check_covariance_rejects_bad_matrices():
         check_covariance(-np.eye(DIM))
 
 
+def _accepted(S) -> bool:
+    try:
+        check_covariance(S)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(trials=st.sampled_from([100, 10**8]), seed=st.integers(0, 2**32 - 1),
+       log_eig=st.floats(-14.0, -6.0), log_asym=st.floats(-16.0, -8.0),
+       k=st.integers(-40, 40))
+def test_check_covariance_verdict_is_scale_invariant(trials, seed, log_eig, log_asym, k):
+    # a valid covariance at 1e2 or 1e8 trials, bent by a negative eigen-
+    # direction and an asymmetry on either side of the tolerances; scaling by
+    # a power of two is exact, so the verdict must not move
+    rng = np.random.default_rng(seed)
+    S = analytic_covariance(boxes.random_nonsignaling(rng), SamplingScheme(trials))
+    scale = np.max(np.abs(S))
+    u = rng.normal(size=DIM)
+    u /= np.linalg.norm(u)
+    S = S - 10.0**log_eig * scale * np.outer(u, u)
+    S[0, 1] += 10.0**log_asym * scale
+    c = 2.0**k
+    assert _accepted(S) == _accepted(c * S)
+    assert _accepted(S / scale) == _accepted(S)
+
+
+def test_check_covariance_at_the_photon_pair_scale():
+    # entries near 4e-12: a negative eigenvalue of 30% of that scale is no
+    # rounding error
+    S = analytic_covariance(spdc_distribution(), SamplingScheme(176_000_000))
+    check_covariance(S)
+    v = np.zeros(DIM)
+    v[block_indices(0, 0)] = 0.5  # S's null direction within block (0, 0)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        check_covariance(S - 0.3 * np.max(np.abs(S)) * np.outer(v, v))
+    check_covariance(np.zeros((DIM, DIM)))
+    bad = np.eye(DIM)
+    bad[3, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        check_covariance(bad)
+
+
 def test_mc_covariance_converges_to_analytic():
     p = boxes.uniform_box()
     scheme = SamplingScheme(400)
@@ -177,6 +223,30 @@ def test_std_dev_basics(rng):
     assert std_dev(beta, S) == pytest.approx(np.sqrt(beta @ S @ beta))
     with pytest.raises(ValueError):
         std_dev(beta, -np.eye(DIM))  # clearly negative quadratic form
+
+
+def test_std_dev_rejects_a_small_negative_form_at_1e8_trials():
+    # the photon-pair forms of EH and its optimal variant at 1e8 trials are
+    # near 1e-11; a form at -2% of one is far beyond rounding and must not
+    # be clipped to 0
+    S = analytic_covariance(spdc_distribution(), SamplingScheme(10**8))
+    for b in (catalog("EH"), optimal_variant(catalog("EH"), S)):
+        beta = b.coeffs
+        quad = beta @ S @ beta
+        bent = S - 1.02 * quad / (beta @ beta) * np.eye(DIM)
+        with pytest.raises(ValueError, match="negative"):
+            std_dev(beta, bent)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trials=st.sampled_from([100, 10**8]), seed=st.integers(0, 2**32 - 1),
+       name=st.sampled_from(["CHSH", "CH", "EH"]), log_c=st.floats(-8.0, 8.0))
+def test_std_dev_scales_as_sqrt_c(trials, seed, name, log_c):
+    p = boxes.random_nonsignaling(np.random.default_rng(seed))
+    S = analytic_covariance(p, SamplingScheme(trials))
+    c = 10.0**log_c
+    assert std_dev(catalog(name), c * S) == pytest.approx(
+        np.sqrt(c) * std_dev(catalog(name), S), rel=1e-12)
 
 
 def test_sigma_ratio_values():
