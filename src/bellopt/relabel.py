@@ -18,20 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import DIM, Subspace, projector, q_basis, subspace_signs, vector_index
+from .space import DIM, Subspace, projector, q_basis, vector_index
 
 _PERMS2 = ((0, 1), (1, 0))  # the two permutations of {0, 1}
+_OUTCOME_PERMS = tuple(itertools.product(_PERMS2, repeat=2))
 
 
 def _perm_compose(p: tuple, q: tuple) -> tuple:
     """(p after q): x -> p[q[x]]."""
     return (p[q[0]], p[q[1]])
-
-
-def _perm_inverse(p: tuple) -> tuple:
-    inv = [0, 0]
-    inv[p[0]], inv[p[1]] = 0, 1
-    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -41,6 +36,11 @@ class PartyRelabeling:
 
     setting_perm: tuple = (0, 1)
     outcome_perms: tuple = ((0, 1), (0, 1))
+
+    def __post_init__(self):
+        # anything else would make the action on 16-vectors a non-permutation
+        if self.setting_perm not in _PERMS2 or self.outcome_perms not in _OUTCOME_PERMS:
+            raise ValueError(f"not a relabeling of two settings and two outcomes: {self!r}")
 
     def apply(self, a: int, x: int) -> tuple[int, int]:
         return self.outcome_perms[x][a], self.setting_perm[x]
@@ -53,13 +53,6 @@ class PartyRelabeling:
                 _perm_compose(self.outcome_perms[other.setting_perm[x]], other.outcome_perms[x])
                 for x in range(2)
             ),
-        )
-
-    def inverse(self) -> "PartyRelabeling":
-        inv_setting = _perm_inverse(self.setting_perm)
-        return PartyRelabeling(
-            inv_setting,
-            tuple(_perm_inverse(self.outcome_perms[inv_setting[x]]) for x in range(2)),
         )
 
 
@@ -95,11 +88,6 @@ class Relabeling:
             comp_b = self.bob.compose(other.bob)
         return Relabeling(self.party_swap != other.party_swap, comp_a, comp_b)
 
-    def inverse(self) -> "Relabeling":
-        if self.party_swap:
-            return Relabeling(True, self.bob.inverse(), self.alice.inverse())
-        return Relabeling(False, self.alice.inverse(), self.bob.inverse())
-
 
 IDENTITY = Relabeling()
 
@@ -129,17 +117,10 @@ def matrix_of(g: Relabeling) -> np.ndarray:
     return M
 
 
-def _party_relabelings() -> list[PartyRelabeling]:
-    return [
-        PartyRelabeling(sp, (o0, o1))
-        for sp in _PERMS2 for o0 in _PERMS2 for o1 in _PERMS2
-    ]
-
-
 @functools.lru_cache(maxsize=1)
 def enumerate_group() -> tuple[Relabeling, ...]:
     """All 128 relabelings: 2 (swap) x 8 x 8 (per-party components)."""
-    parts = _party_relabelings()
+    parts = [PartyRelabeling(sp, op) for sp in _PERMS2 for op in _OUTCOME_PERMS]
     return tuple(
         Relabeling(swap, ga, gb)
         for swap in (False, True) for ga in parts for gb in parts
@@ -160,6 +141,31 @@ INVARIANT_BLOCKS = (
 )
 
 
+def _elements(elements) -> tuple:
+    return enumerate_group() if elements is None else tuple(elements)
+
+
+@functools.lru_cache(maxsize=4)
+def _composition_table(elements: tuple) -> np.ndarray:
+    """Entry (g, k) is the position of ``g.compose(k)`` in ``elements``, or -1
+    when the composite is not among them: one walk of the structured
+    composition that every group check reads."""
+    order = {g: i for i, g in enumerate(elements)}
+    table = np.array([[order.get(g.compose(k), -1) for k in elements] for g in elements])
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_images(elements: tuple) -> np.ndarray:
+    """Row g holds the image pi_g(i) * DIM + pi_g(j) of each index pair
+    i * DIM + j under the action of g on 16x16 matrices."""
+    perms = np.stack([permutation_of(g) for g in elements])
+    images = (perms[:, :, None] * DIM + perms[:, None, :]).reshape(len(perms), DIM * DIM)
+    images.flags.writeable = False
+    return images
+
+
 def spans_subspace(vecs, signs) -> bool:
     """True iff every vector lies in the span of the given Q sign vectors."""
     basis = np.stack([q_basis(*s) for s in signs], axis=1) / 4.0
@@ -168,15 +174,14 @@ def spans_subspace(vecs, signs) -> bool:
 
 
 def verify_invariance(block: Subspace, elements=None) -> bool:
-    """Check that acting with every group element keeps the block inside itself."""
-    if elements is None:
-        elements = enumerate_group()
-    signs = subspace_signs(block)
-    basis = [q_basis(*s) for s in signs]
-    for g in elements:
-        if not spans_subspace([act(g, q) for q in basis], signs):
-            return False
-    return True
+    """Check that acting with every group element keeps the block inside itself.
+
+    The block is invariant under a permutation iff its orthogonal projector
+    commutes with it, i.e. P[pi_g(i), pi_g(j)] == P[i, j].  The entries of P
+    are multiples of 1/16, so the comparison is exact.
+    """
+    P = projector(block).ravel()
+    return bool(np.all(P[_pair_images(_elements(elements))] == P))
 
 
 def invariance_report(elements=None) -> dict:
@@ -185,9 +190,7 @@ def invariance_report(elements=None) -> dict:
 
 def averaging_projector(elements=None) -> np.ndarray:
     """Group average of the action matrices; projects onto the trivial component."""
-    if elements is None:
-        elements = enumerate_group()
-    return np.mean([matrix_of(g) for g in elements], axis=0)
+    return np.mean([matrix_of(g) for g in _elements(elements)], axis=0)
 
 
 def commutant_dimension(elements=None) -> int:
@@ -202,10 +205,7 @@ def commutant_dimension(elements=None) -> int:
     whole group.  Equals the number of irreducible components when the
     representation is multiplicity-free.
     """
-    if elements is None:
-        elements = enumerate_group()
-    perms = np.stack([permutation_of(g) for g in elements])
-    images = (perms[:, :, None] * DIM + perms[:, None, :]).reshape(len(perms), DIM * DIM)
+    images = _pair_images(_elements(elements))
     label = np.arange(DIM * DIM)
     while True:
         nxt = np.minimum(label, label[images].min(axis=0))
@@ -215,33 +215,27 @@ def commutant_dimension(elements=None) -> int:
 
 
 def cayley_checksum(elements=None) -> str:
-    """SHA-256 of the composition table in canonical element order."""
-    if elements is None:
-        elements = enumerate_group()
-    order = {g: i for i, g in enumerate(elements)}
-    h = hashlib.sha256()
-    for g in elements:
-        for k in elements:
-            h.update(order[g.compose(k)].to_bytes(2, "big"))
-    return h.hexdigest()
+    """SHA-256 of the composition table in canonical element order, each
+    entry a big-endian 16-bit position."""
+    table = _composition_table(_elements(elements))
+    if np.any(table < 0):
+        raise ValueError("the elements are not closed under composition")
+    return hashlib.sha256(table.astype(">u2").tobytes()).hexdigest()
 
 
 def group_axioms_hold(elements=None) -> bool:
-    """Exhaustive closure / identity / inverse check, plus action consistency."""
-    if elements is None:
-        elements = enumerate_group()
-    elems = set(elements)
-    if IDENTITY not in elems or len(elems) != len(elements):
+    """Exhaustive closure / identity / inverse check, plus action consistency,
+    all read off the composition table."""
+    elements = _elements(elements)
+    if IDENTITY not in elements or len(set(elements)) != len(elements):
         return False
-    for g in elements:
-        if g.compose(g.inverse()) != IDENTITY or g.inverse().compose(g) != IDENTITY:
-            return False
-    for g in elements:
-        pg = permutation_of(g)
-        for k in elements:
-            gk = g.compose(k)
-            if gk not in elems:
-                return False
-            if not np.array_equal(permutation_of(gk), pg[permutation_of(k)]):
-                return False
-    return True
+    table = _composition_table(elements)
+    if np.any(table < 0):
+        return False
+    e = elements.index(IDENTITY)
+    # g has a two-sided inverse k: g k = e and k g = e
+    if not np.all(np.any((table == e) & (table.T == e), axis=1)):
+        return False
+    # the action is a homomorphism: pi_{g k} = pi_g o pi_k on every pair
+    perms = np.stack([permutation_of(g) for g in elements]).astype(np.uint8)
+    return bool(np.array_equal(perms[table], perms[:, perms]))

@@ -20,16 +20,20 @@ from .sampling import Allocation, SamplingScheme
 from .space import DIM, Subspace, block_indices, check_distribution, projector, q_basis, subspace_signs
 
 
-#: negative eigenvalues (and quadratic forms) down to this fraction of the
-#: covariance's own scale are accepted as rounding
+#: asymmetry (SYM_TOL) and negative eigenvalues and quadratic forms (EIG_TOL)
+#: down to these fractions of the covariance's own scale are accepted as
+#: rounding; RCOND is ``optimal_variant``'s pseudo-inverse cutoff
+SYM_TOL = 1e-12
 EIG_TOL = 1e-10
+RCOND = 1e-10
 
 
-def check_covariance(sigma, sym_tol: float = 1e-12, eig_tol: float = EIG_TOL) -> np.ndarray:
+def check_covariance(sigma) -> np.ndarray:
     """Validate shape, symmetry and positive semidefiniteness.
 
-    Both tolerances are relative to the largest entry, so the verdict is the
-    same for S and c*S; a covariance at 1e8 trials has entries near 1e-12.
+    ``SYM_TOL`` and ``EIG_TOL`` are relative to the largest entry, so the
+    verdict is the same for S and c*S; a covariance at 1e8 trials has entries
+    near 1e-12.
     """
     S = np.asarray(sigma, dtype=float)
     if S.shape != (DIM, DIM):
@@ -39,9 +43,9 @@ def check_covariance(sigma, sym_tol: float = 1e-12, eig_tol: float = EIG_TOL) ->
         raise ValueError("covariance entries must be finite")
     if scale == 0.0:
         return S  # e.g. the sample covariance of identical runs
-    if np.max(np.abs(S - S.T)) > sym_tol * scale:
+    if np.max(np.abs(S - S.T)) > SYM_TOL * scale:
         raise ValueError("covariance is not symmetric")
-    if float(np.linalg.eigvalsh(S)[0]) < -eig_tol * scale:
+    if float(np.linalg.eigvalsh(S)[0]) < -EIG_TOL * scale:
         raise ValueError("covariance is not positive semidefinite")
     return S
 
@@ -99,7 +103,7 @@ def _si_basis() -> np.ndarray:
     return np.stack([q_basis(*s) / 4.0 for s in subspace_signs(Subspace.SI)], axis=1)
 
 
-def optimal_variant(beta: BellInequality, sigma, rcond: float = 1e-10) -> BellInequality:
+def optimal_variant(beta: BellInequality, sigma) -> BellInequality:
     """The variant of ``beta`` whose estimate has minimal variance.
 
     Keeps every non-signaling component of ``beta`` (so the value on any
@@ -109,7 +113,7 @@ def optimal_variant(beta: BellInequality, sigma, rcond: float = 1e-10) -> BellIn
     Pi Sigma (beta_nos + beta_si) = 0 restricted to the signaling subspace.
     Singular directions (signaling noise the covariance never excites) are
     handled by the Moore-Penrose pseudo-inverse, with singular values below
-    ``rcond`` times the largest dropped; the cutoff is applied inside the
+    ``RCOND`` times the largest dropped; the cutoff is applied inside the
     4-dimensional signaling block so it scales with the covariance itself.
     """
     S = check_covariance(sigma)
@@ -122,7 +126,7 @@ def optimal_variant(beta: BellInequality, sigma, rcond: float = 1e-10) -> BellIn
     # carry a vanishing share of the total variance are treated as exactly
     # variance-free rather than inverted as numerical noise
     u, svals, vt = np.linalg.svd(block)
-    cut = rcond * max(float(svals[0]) if svals.size else 0.0, float(np.max(np.abs(S))), 1e-300)
+    cut = RCOND * max(float(svals[0]) if svals.size else 0.0, float(np.max(np.abs(S))), 1e-300)
     inv = np.where(svals > cut, 1.0 / np.where(svals > cut, svals, 1.0), 0.0)
     si_coeffs = -(vt.T * inv) @ (u.T @ rhs)
     name = f"{beta.name}*" if beta.name else "optimal-variant"

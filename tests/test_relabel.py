@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellopt import boxes
+from bellopt import boxes, relabel
 from bellopt.relabel import (
     GLOBAL_OUTCOME_FLIP,
     IDENTITY,
@@ -25,9 +25,19 @@ from bellopt.relabel import (
     spans_subspace,
     verify_invariance,
 )
-from bellopt.space import DIM, Subspace, projector, q_basis, vector_index
+from bellopt.space import DIM, Subspace, projector, q_basis, subspace_signs, vector_index
 
 SIGNS = (1, -1)
+
+
+def _outcome_flips():
+    return [
+        Relabeling(False,
+                   PartyRelabeling((0, 1), (oa0, oa1)),
+                   PartyRelabeling((0, 1), (ob0, ob1)))
+        for oa0 in ((0, 1), (1, 0)) for oa1 in ((0, 1), (1, 0))
+        for ob0 in ((0, 1), (1, 0)) for ob1 in ((0, 1), (1, 0))
+    ]
 
 
 def test_group_order_and_distinct_actions():
@@ -40,6 +50,52 @@ def test_group_order_and_distinct_actions():
 
 def test_group_axioms_exhaustively():
     assert group_axioms_hold()
+
+
+@pytest.mark.parametrize("elements", [
+    [g for g in enumerate_group() if g != IDENTITY],
+    list(enumerate_group()) + [enumerate_group()[5]],
+    enumerate_group()[:5],
+], ids=["no-identity", "duplicate", "not-closed"])
+def test_group_axioms_fail_on_non_groups(elements):
+    assert not group_axioms_hold(elements)
+
+
+def test_group_axioms_catch_a_composition_inconsistent_with_the_action(monkeypatch):
+    # reversed argument order composes the opposite group: closure, identity
+    # and inverses all still hold, so only the homomorphism check can fail
+    original = Relabeling.compose
+    relabel._composition_table.cache_clear()
+    monkeypatch.setattr(Relabeling, "compose", lambda self, other: original(other, self))
+    try:
+        assert not group_axioms_hold()
+    finally:
+        monkeypatch.undo()
+        relabel._composition_table.cache_clear()
+    assert group_axioms_hold()
+
+
+def test_group_checks_share_one_composition_walk():
+    relabel._composition_table.cache_clear()
+    assert group_axioms_hold()
+    cayley_checksum()
+    cayley_checksum(list(enumerate_group()))
+    assert relabel._composition_table.cache_info().misses == 1
+
+
+def test_cayley_checksum_needs_a_closed_element_list():
+    with pytest.raises(ValueError, match="not closed"):
+        cayley_checksum(enumerate_group()[:5])
+
+
+@pytest.mark.parametrize("party", [
+    dict(setting_perm=(0, 0)),
+    dict(outcome_perms=((0, 2), (0, 1))),
+], ids=["setting-perm", "outcome-perm"])
+def test_party_relabeling_rejects_non_permutations(party):
+    # either would make act() leave entries of its output unwritten
+    with pytest.raises(ValueError, match="not a relabeling"):
+        PartyRelabeling(**party)
 
 
 def test_identity_composition():
@@ -124,6 +180,18 @@ def test_fine_marginal_subspace_not_invariant_alone():
     assert not verify_invariance(Subspace.SI_TO_B)
 
 
+@pytest.mark.parametrize("elements, not_invariant", [
+    (enumerate_group(), {Subspace.MARG_A, Subspace.MARG_B, Subspace.SI_TO_B, Subspace.SI_TO_A}),
+    (tuple(_outcome_flips()), set()),
+], ids=["group", "outcome-flips"])
+def test_verify_invariance_matches_span_oracle(elements, not_invariant):
+    for block in Subspace:
+        signs = subspace_signs(block)
+        basis = [q_basis(*s) for s in signs]
+        oracle = all(spans_subspace([act(g, q) for q in basis], signs) for g in elements)
+        assert verify_invariance(block, elements) == oracle == (block not in not_invariant)
+
+
 def test_non_invariant_span_counterexample():
     # {Q_++++, Q_--++} is not a G-invariant span: exhaustive search finds a
     # relabeling pushing Q_--++ outside it
@@ -161,16 +229,6 @@ def test_commutant_character_cross_check():
 
 def test_commutant_of_trivial_group():
     assert commutant_dimension([IDENTITY]) == 256
-
-
-def _outcome_flips():
-    return [
-        Relabeling(False,
-                   PartyRelabeling((0, 1), (oa0, oa1)),
-                   PartyRelabeling((0, 1), (ob0, ob1)))
-        for oa0 in ((0, 1), (1, 0)) for oa1 in ((0, 1), (1, 0))
-        for ob0 in ((0, 1), (1, 0)) for ob1 in ((0, 1), (1, 0))
-    ]
 
 
 def test_commutant_of_outcome_flips_only():
