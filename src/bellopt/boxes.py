@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from .space import DIM, vector_index
+from .space import DIM, _A, _B, _X, _Y  # per-cell labels in index order
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -23,10 +23,7 @@ def biased_marginal_box(p_b0: float = 0.25) -> np.ndarray:
     """Alice tosses a fair coin, Bob a biased one (P[b=0] = p_b0), for any setting."""
     if not 0.0 <= p_b0 <= 1.0:
         raise ValueError("p_b0 must be a probability")
-    v = np.empty(DIM)
-    for a, b, x, y in itertools.product(range(2), repeat=4):
-        v[vector_index(a, b, x, y)] = 0.5 * (p_b0 if b == 0 else 1.0 - p_b0)
-    return v
+    return 0.5 * np.where(_B == 0, p_b0, 1.0 - p_b0)
 
 
 def setting_copy_box() -> np.ndarray:
@@ -34,29 +31,17 @@ def setting_copy_box() -> np.ndarray:
 
     Purely signaling from Alice to Bob: p = (1/2) delta_{b=x}.
     """
-    v = np.zeros(DIM)
-    for a, b, x, y in itertools.product(range(2), repeat=4):
-        if b == x:
-            v[vector_index(a, b, x, y)] = 0.5
-    return v
+    return 0.5 * (_B == _X)
 
 
 def shared_coin_box() -> np.ndarray:
     """Perfectly correlated fair outcomes for every setting: p = (1/2) delta_{a=b}."""
-    v = np.zeros(DIM)
-    for a, b, x, y in itertools.product(range(2), repeat=4):
-        if a == b:
-            v[vector_index(a, b, x, y)] = 0.5
-    return v
+    return 0.5 * (_A == _B)
 
 
 def pr_box() -> np.ndarray:
     """The maximally nonlocal nonsignaling box: p = (1/2) delta_{a xor b = xy}."""
-    v = np.zeros(DIM)
-    for a, b, x, y in itertools.product(range(2), repeat=4):
-        if (a + b) % 2 == (x * y) % 2:
-            v[vector_index(a, b, x, y)] = 0.5
-    return v
+    return 0.5 * ((_A + _B) % 2 == _X * _Y)
 
 
 def tsirelson_box() -> np.ndarray:
@@ -65,11 +50,7 @@ def tsirelson_box() -> np.ndarray:
     Correlators E_xy = +-1/sqrt(2) with the CHSH sign pattern (minus at
     x = y = 1), uniform marginals: p = (1/4)(1 + (-1)^(a+b) E_xy).
     """
-    v = np.empty(DIM)
-    for a, b, x, y in itertools.product(range(2), repeat=4):
-        e = -1.0 / SQRT2 if x == 1 and y == 1 else 1.0 / SQRT2
-        v[vector_index(a, b, x, y)] = 0.25 * (1.0 + (-1.0) ** (a + b) * e)
-    return v
+    return correlator_box(np.array([[1.0, 1.0], [1.0, -1.0]]) / SQRT2)
 
 
 def correlator_box(e: np.ndarray) -> np.ndarray:
@@ -77,20 +58,17 @@ def correlator_box(e: np.ndarray) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     if e.shape != (2, 2) or np.max(np.abs(e)) > 1.0 + 1e-12:
         raise ValueError("need a 2x2 correlator table with entries in [-1, 1]")
-    v = np.empty(DIM)
-    for a, b, x, y in itertools.product(range(2), repeat=4):
-        v[vector_index(a, b, x, y)] = 0.25 * (1.0 + (-1.0) ** (a + b) * e[x, y])
-    return v
+    return 0.25 * (1.0 + (-1.0) ** (_A + _B) * e[_X, _Y])
 
 
 def local_vertex(f0: int, f1: int, g0: int, g1: int) -> np.ndarray:
     """Deterministic strategy a = f(x), b = g(y)."""
-    v = np.zeros(DIM)
+    v = np.zeros((2, 2, 2, 2))  # [y, x, b, a]
     f, g = (f0, f1), (g0, g1)
     for x in range(2):
         for y in range(2):
-            v[vector_index(f[x], g[y], x, y)] = 1.0
-    return v
+            v[y, x, g[y], f[x]] = 1.0
+    return v.ravel()
 
 
 def local_vertices() -> list[np.ndarray]:
@@ -100,14 +78,8 @@ def local_vertices() -> list[np.ndarray]:
 
 def pr_box_vertices() -> list[np.ndarray]:
     """The 8 extremal nonlocal boxes p = (1/2) delta_{a xor b = xy xor ax xor by xor c}."""
-    out = []
-    for al, be, ga in itertools.product(range(2), repeat=3):
-        v = np.zeros(DIM)
-        for a, x, y in itertools.product(range(2), repeat=3):
-            b = (a + x * y + al * x + be * y + ga) % 2
-            v[vector_index(a, b, x, y)] = 0.5
-        out.append(v)
-    return out
+    al, be, ga = np.indices((2, 2, 2)).reshape(3, 8, 1)
+    return list(0.5 * (_B == (_A + _X * _Y + al * _X + be * _Y + ga) % 2))
 
 
 def nonsignaling_vertices() -> list[np.ndarray]:

@@ -129,23 +129,24 @@ def rescale(b: BellInequality, s: float) -> BellInequality:
     return BellInequality(s * b.coeffs, s * b.local_bound, b.name)
 
 
+#: the components that can change the value on a normalized nonsignaling behavior
+_NS_VALUE_PARTS = (Subspace.NO1, Subspace.MARG_A, Subspace.MARG_B, Subspace.CORR)
+
+
 def ns_equivalent(b1: BellInequality, b2: BellInequality, tol: float = 1e-9) -> bool:
     """True iff the two inequalities evaluate identically on every normalized
     nonsignaling behavior.
 
-    That holds iff the bounds agree and the decompositions agree on the
-    uniform-normalization component and the full nonsignaling block.  (The two
+    That holds iff the bounds agree and the difference of the coefficients has
+    no uniform-normalization and no nonsignaling component.  (The two
     traceless normalization components never contribute on a normalized
     behavior, and the signaling components never contribute on a nonsignaling
     one.)
     """
     if abs(b1.local_bound - b2.local_bound) > tol:
         return False
-    d1, d2 = decompose(b1.coeffs), decompose(b2.coeffs)
-    for s in (Subspace.NO1, Subspace.MARG_A, Subspace.MARG_B, Subspace.CORR):
-        if np.max(np.abs(d1[s] - d2[s])) > tol:
-            return False
-    return True
+    parts = space.projector_stack(_NS_VALUE_PARTS) @ (b1.coeffs - b2.coeffs)
+    return bool(np.max(np.abs(parts)) <= tol)
 
 
 def strip_normalization_fluff(b: BellInequality) -> BellInequality:

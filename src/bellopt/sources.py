@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import DIM, vector_index
 
 # --- deterministic spin-pair source ---------------------------------------
 
@@ -129,7 +128,7 @@ def nv_distribution(lam: float = NV_LAMBDA,
     rho = two_qubit_state(lam, visibility)
     pia = readout.effects("A")
     pib = readout.effects("B")
-    p = np.empty(DIM)
+    p = np.empty((2, 2, 2, 2))  # [y, x, b, a]
     for x in range(2):
         ra = _ry(angles.alice[x])
         for y in range(2):
@@ -138,9 +137,8 @@ def nv_distribution(lam: float = NV_LAMBDA,
             rotated = r @ rho @ r.T
             for a in range(2):
                 for b in range(2):
-                    val = float(np.trace(np.kron(pia[a], pib[b]) @ rotated))
-                    p[vector_index(a, b, x, y)] = val
-    return p
+                    p[y, x, b, a] = np.trace(np.kron(pia[a], pib[b]) @ rotated)
+    return p.ravel()
 
 
 def nv_symmetric_distribution() -> np.ndarray:
@@ -210,20 +208,18 @@ def _no_click_effect(theta: float, eta: float, dim: int) -> np.ndarray:
     with loss Kraus operators K_n = (1-eta)^(n/2)/sqrt(n!) eta^(N/2) a^n."""
     a = _lowering(dim)
     damp = np.diag(eta ** (np.arange(dim) / 2.0))
-    kraus, an = [], np.eye(dim)
+    kraus, an = np.empty((dim, dim, dim)), np.eye(dim)
     for n in range(dim):
-        kraus.append(((1.0 - eta) ** (n / 2.0) / math.sqrt(math.factorial(n))) * (damp @ an))
+        kraus[n] = ((1.0 - eta) ** (n / 2.0) / math.sqrt(math.factorial(n))) * (damp @ an)
         an = an @ a
     u = _mode_rotation(theta, dim)
     vacuum_h = np.zeros((dim, dim))
     vacuum_h[0, 0] = 1.0
-    g = u.T @ np.kron(vacuum_h, np.eye(dim)) @ u
-    out = np.zeros_like(g)
-    for k_h in kraus:
-        for k_v in kraus:
-            k = np.kron(k_h, k_v)
-            out += k.T @ g @ k
-    return out
+    g = (u.T @ np.kron(vacuum_h, np.eye(dim)) @ u).reshape(dim, dim, dim, dim)
+    # axes (H, V, H', V'): the loss channel's adjoint on each mode in turn
+    g = np.einsum("hik,ijpq,hpm->kjmq", kraus, g, kraus, optimize=True)
+    g = np.einsum("vjl,kjmq,vqn->klmn", kraus, g, kraus, optimize=True)
+    return g.reshape(dim * dim, dim * dim)
 
 
 def spdc_distribution(mu: float = SPDC_MU,
@@ -273,13 +269,10 @@ def spdc_distribution(mu: float = SPDC_MU,
     eff_a = [(f, one - f) for f in (_no_click_effect(t, eta_a, d) for t in angles.alice)]
     eff_b = [(f, one - f) for f in (_no_click_effect(-t, eta_b, d) for t in angles.bob)]
 
-    p = np.empty(DIM)
+    p = np.empty((2, 2, 4))  # [y, x, a + 2b]
     for x in range(2):
         for y in range(2):
             q = np.array([np.sum(psi * (ea @ psi @ eb))
                           for eb in eff_b[y] for ea in eff_a[x]])
-            q /= q.sum()
-            for a in range(2):
-                for b in range(2):
-                    p[vector_index(a, b, x, y)] = q[a + 2 * b]
-    return p
+            p[y, x] = q / q.sum()
+    return p.ravel()

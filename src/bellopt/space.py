@@ -5,6 +5,12 @@ as a 16-vector in the fixed index order ``a + 2b + 4x + 8y``.  The same layout
 holds the coefficients of a Bell expression, so distributions and inequalities
 share all the algebra below.
 
+Block view: the four cells of the setting block (x, y) are contiguous, so
+block ``b = x + 2y`` is row ``b`` of ``v.reshape(4, 4)``, with the cell
+(a, b) at column ``a + 2b``; equivalently ``v.reshape(2, 2, 2, 2)`` is indexed
+``[y, x, b, a]``.  Code that works per block or per party uses these views
+instead of index lists.
+
 The sign-character basis Q_{ijkl}(ab|xy) = i^a j^b k^x l^y (i, j, k, l = +-1)
 diagonalizes the action of the relabeling group and splits R^16 into six
 invariant subspaces: three normalization pieces, the marginals, the
@@ -191,10 +197,19 @@ class Decomposition:
         return tuple(s for s, n in self.norms().items() if n > tol)
 
 
+@functools.lru_cache(maxsize=None)
+def projector_stack(subspaces: tuple[Subspace, ...]) -> np.ndarray:
+    """Read-only (len(subspaces), 16, 16) stack of their projectors, built on
+    first use, so one product projects onto all of them."""
+    P = np.stack([projector(s) for s in subspaces])
+    P.flags.writeable = False
+    return P
+
+
 def decompose(v) -> Decomposition:
     """Unique split of ``v`` into the invariant subspaces (fine labels)."""
-    arr = as_vector(v)
-    return Decomposition({s: projector(s) @ arr for s in FINE_SUBSPACES})
+    parts = projector_stack(FINE_SUBSPACES) @ as_vector(v)
+    return Decomposition(dict(zip(FINE_SUBSPACES, parts)))
 
 
 def bell_value(beta, p) -> float:
@@ -210,11 +225,11 @@ def check_distribution(v, tol: float = ATOL_EXACT) -> np.ndarray:
     arr = as_vector(v)
     if np.min(arr) < -tol:
         raise ValueError(f"negative probability {np.min(arr):g}")
-    for x in range(2):
-        for y in range(2):
-            s = arr[block_indices(x, y)].sum()
-            if abs(s - 1.0) > tol:
-                raise ValueError(f"block ({x},{y}) sums to {s!r}, expected 1")
+    sums = arr.reshape(2, 2, 4).sum(axis=2).T  # [x, y]
+    off = np.argwhere(np.abs(sums - 1.0) > tol)  # in the order (0,0), (0,1), (1,0), (1,1)
+    if off.size:
+        x, y = off[0]
+        raise ValueError(f"block ({x},{y}) sums to {sums[x, y]!r}, expected 1")
     return arr
 
 
@@ -226,39 +241,34 @@ def is_distribution(v, tol: float = ATOL_EXACT) -> bool:
     return True
 
 
+def _cells(v) -> np.ndarray:
+    """Tensor view of a 16-vector, indexed [y, x, b, a]."""
+    return as_vector(v).reshape(2, 2, 2, 2)
+
+
 def marginal_a(v, a: int, x: int, y: int) -> float:
     """Alice marginal sum_b p_{ab|xy}, computed from the given y block."""
-    arr = as_vector(v)
-    return float(sum(arr[vector_index(a, b, x, y)] for b in range(2)))
+    return float(_cells(v)[y, x, :, a].sum())
 
 
 def marginal_b(v, b: int, x: int, y: int) -> float:
     """Bob marginal sum_a p_{ab|xy}, computed from the given x block."""
-    arr = as_vector(v)
-    return float(sum(arr[vector_index(a, b, x, y)] for a in range(2)))
+    return float(_cells(v)[y, x, b].sum())
 
 
 def is_nonsignaling(v, tol: float = ATOL_EXACT) -> bool:
     """Literal marginal tests: each party's marginals do not depend on the
     other party's setting choice.  Independent of the subspace machinery."""
-    for x in range(2):
-        for a in range(2):
-            if abs(marginal_a(v, a, x, 0) - marginal_a(v, a, x, 1)) > tol:
-                return False
-    for y in range(2):
-        for b in range(2):
-            if abs(marginal_b(v, b, 0, y) - marginal_b(v, b, 1, y)) > tol:
-                return False
-    return True
+    t = _cells(v)
+    marg_a, marg_b = t.sum(axis=2), t.sum(axis=3)  # [y, x, a], [y, x, b]
+    return bool(np.all(np.abs(marg_a[0] - marg_a[1]) <= tol)
+                and np.all(np.abs(marg_b[:, 0] - marg_b[:, 1]) <= tol))
 
 
 def correlator(v, x: int, y: int) -> float:
     """E_xy = sum_ab (-1)^(a+b) p_{ab|xy}."""
-    arr = as_vector(v)
-    return float(sum(
-        (-1.0) ** (a + b) * arr[vector_index(a, b, x, y)]
-        for a in range(2) for b in range(2)
-    ))
+    c = _cells(v)[y, x]  # [b, a]
+    return float(c[0, 0] - c[1, 0] - c[0, 1] + c[1, 1])
 
 
 def correlator_pattern(x: int, y: int) -> np.ndarray:

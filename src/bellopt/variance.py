@@ -8,16 +8,23 @@ variance of an inequality value I = beta . P_hat is the quadratic form
 beta^T Sigma beta, and only the signaling components of beta are free to
 change without touching the value on nonsignaling behaviors, so minimizing
 over them yields the statistically optimal variant.
+
+Block view: block ``b = x + 2y`` is row ``b`` of ``p.reshape(4, 4)``, so the
+covariance, seen as ``(4, 4, 4, 4)`` with axes (block, cell, block, cell), is
+nonzero only on its four diagonal blocks ``[b, :, b, :]``.  The constant
+matrices of the optimizer are built once, on first use, and read-only.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import simulate
 from .inequalities import BellInequality, sigma_ratio  # noqa: F401  (re-exported)
 from .sampling import Allocation, SamplingScheme
-from .space import DIM, Subspace, block_indices, check_distribution, projector, q_basis, subspace_signs
+from .space import DIM, Subspace, check_distribution, projector, q_basis, subspace_signs
 
 
 #: asymmetry (SYM_TOL) and negative eigenvalues and quadratic forms (EIG_TOL)
@@ -60,15 +67,15 @@ def analytic_covariance(p, scheme: SamplingScheme) -> np.ndarray:
     arr = check_distribution(p, tol=1e-9)
     if scheme.allocation is not Allocation.FIXED_EQUAL:
         raise ValueError("the analytic form needs deterministic per-block counts")
-    counts = scheme.block_counts()
-    sigma = np.zeros((DIM, DIM))
-    for x in range(2):
-        for y in range(2):
-            idx = block_indices(x, y)
-            pb = arr[idx]
-            n = counts[x + 2 * y]
-            sigma[np.ix_(idx, idx)] = (np.diag(pb) - np.outer(pb, pb)) / n
-    return sigma
+    n = np.array(scheme.block_counts(), dtype=float)[:, None, None]
+    blocks = arr.reshape(4, 4)
+    d = np.arange(4)
+    cov = np.zeros((4, 4, 4))  # per block: diag(p_b) - p_b p_b^T
+    cov[:, d, d] = blocks
+    cov -= blocks[:, :, None] * blocks[:, None, :]
+    sigma = np.zeros((4, 4, 4, 4))
+    sigma[d, :, d, :] = cov / n
+    return sigma.reshape(DIM, DIM)
 
 
 def mc_covariance(p, scheme: SamplingScheme, runs: int, seed: int) -> np.ndarray:
@@ -98,9 +105,20 @@ def std_dev(beta, sigma) -> float:
     return float(np.sqrt(max(quad, 0.0)))
 
 
+@functools.lru_cache(maxsize=None)
 def _si_basis() -> np.ndarray:
     """Orthonormal basis of the signaling subspace as a 16x4 matrix."""
-    return np.stack([q_basis(*s) / 4.0 for s in subspace_signs(Subspace.SI)], axis=1)
+    B = np.stack([q_basis(*s) / 4.0 for s in subspace_signs(Subspace.SI)], axis=1)
+    B.flags.writeable = False
+    return B
+
+
+@functools.lru_cache(maxsize=None)
+def _pi_bar() -> np.ndarray:
+    """Projector 1 - P_SI onto the non-signaling components."""
+    P = np.eye(DIM) - projector(Subspace.SI)
+    P.flags.writeable = False
+    return P
 
 
 def optimal_variant(beta: BellInequality, sigma) -> BellInequality:
@@ -117,11 +135,11 @@ def optimal_variant(beta: BellInequality, sigma) -> BellInequality:
     4-dimensional signaling block so it scales with the covariance itself.
     """
     S = check_covariance(sigma)
-    pi_bar = np.eye(DIM) - projector(Subspace.SI)
-    b_nos = pi_bar @ beta.coeffs
+    b_nos = _pi_bar() @ beta.coeffs
     B = _si_basis()
-    block = B.T @ S @ B
-    rhs = B.T @ S @ b_nos
+    BtS = B.T @ S
+    block = BtS @ B
+    rhs = BtS @ b_nos
     # anchor the cutoff to the full covariance scale: block directions that
     # carry a vanishing share of the total variance are treated as exactly
     # variance-free rather than inverted as numerical noise

@@ -38,7 +38,6 @@ from bellopt.sources import nv_distribution, spdc_distribution
 from bellopt.space import (
     DIM,
     Subspace,
-    decompose,
     is_nonsignaling,
     project,
     projector,

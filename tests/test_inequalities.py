@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bellopt import boxes
 from bellopt.inequalities import (
+    _NS_VALUE_PARTS,
     QUANTUM_MAXIMUM,
     BellInequality,
     catalog,
@@ -23,7 +24,17 @@ from bellopt.inequalities import (
     strip_normalization_fluff,
     vector_to_display,
 )
-from bellopt.space import DIM, Subspace, decompose, project, q_basis, vector_index
+from bellopt.relabel import act, enumerate_group
+from bellopt.space import (
+    DIM,
+    Subspace,
+    decompose,
+    project,
+    projector,
+    projector_stack,
+    q_basis,
+    vector_index,
+)
 
 
 def test_catalog_names():
@@ -181,6 +192,51 @@ def test_ns_equivalence_respects_si_changes_only(rng):
     assert not ns_equivalent(chsh, rescale(chsh, 2.0))
     shifted_bound = BellInequality(chsh.coeffs, 1.0, "wrong-bound")
     assert not ns_equivalent(chsh, shifted_bound)
+
+
+def _ns_equivalent_by_components(b1, b2, tol=1e-9):
+    # the component-by-component comparison the single product replaced
+    if abs(b1.local_bound - b2.local_bound) > tol:
+        return False
+    for s in _NS_VALUE_PARTS:
+        if np.max(np.abs(project(b1.coeffs, s) - project(b2.coeffs, s))) > tol:
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["CHSH", "CH", "EH", "OPT_REF"]),
+    g=st.integers(0, 127),
+    c=st.floats(-2.0, 2.0, allow_nan=False),
+    parts=st.lists(st.sampled_from(list(Subspace)[:8]), min_size=1, max_size=3),
+    log_size=st.floats(-12.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    same_bound=st.booleans(),
+)
+def test_ns_equivalent_matches_component_oracle(name, g, c, parts, log_size, seed, same_bound):
+    # relabeled catalog entries against shifted copies with a random
+    # perturbation in a few fine subspaces; sizes around tol give both verdicts
+    base = catalog(name)
+    b1 = BellInequality(act(enumerate_group()[g], base.coeffs), base.local_bound, name)
+    b2 = shift(b1, c)
+    rng = np.random.default_rng(seed)
+    for s in parts:
+        b2 = BellInequality(b2.coeffs + 10.0**log_size * projector(s) @ rng.normal(size=DIM),
+                            b2.local_bound)
+    if same_bound:
+        b2 = BellInequality(b2.coeffs, b1.local_bound)
+    assert ns_equivalent(b1, b2) == _ns_equivalent_by_components(b1, b2)
+    assert ns_equivalent(b2, b1) == _ns_equivalent_by_components(b2, b1)
+
+
+def test_ns_value_projector_stack_is_cached_and_read_only():
+    stack = projector_stack(_NS_VALUE_PARTS)
+    assert stack is projector_stack(_NS_VALUE_PARTS)
+    assert stack.shape == (4, DIM, DIM)
+    assert stack.flags.writeable is False
+    for P, s in zip(stack, (Subspace.NO1, Subspace.MARG_A, Subspace.MARG_B, Subspace.CORR)):
+        assert np.array_equal(P, projector(s))
 
 
 def test_strip_normalization_fluff(rng):

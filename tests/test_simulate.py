@@ -10,7 +10,6 @@ from bellopt.inequalities import catalog
 from bellopt.sampling import Allocation, SamplingScheme
 from bellopt.simulate import (
     CHUNK,
-    EnsembleReport,
     RunCounts,
     frequencies,
     frequencies_ensemble,

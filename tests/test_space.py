@@ -16,13 +16,17 @@ from bellopt.space import (
     as_vector,
     bell_value,
     block_indices,
+    check_distribution,
     correlator,
     correlator_pattern,
     decompose,
     is_distribution,
     is_nonsignaling,
+    marginal_a,
+    marginal_b,
     project,
     projector,
+    projector_stack,
     q_basis,
     subspace_dimension,
     subspace_signs,
@@ -165,6 +169,24 @@ def test_decompose_components_live_in_their_subspaces(rng):
         assert np.max(np.abs(project(c, s) - c)) < 1e-12
 
 
+def test_decompose_matches_per_subspace_projections(rng):
+    for _ in range(50):
+        v = rng.normal(size=DIM) * 10.0 ** rng.uniform(-12.0, 3.0)
+        d = decompose(v)
+        assert tuple(d.components) == FINE_SUBSPACES
+        for s in FINE_SUBSPACES:
+            assert np.array_equal(d[s], projector(s) @ v)
+
+
+def test_fine_projector_stack_is_cached_and_read_only():
+    stack = projector_stack(FINE_SUBSPACES)
+    assert stack is projector_stack(FINE_SUBSPACES)
+    assert stack.shape == (8, DIM, DIM)
+    assert stack.flags.writeable is False
+    for P, s in zip(stack, FINE_SUBSPACES):
+        assert np.array_equal(P, projector(s))
+
+
 def test_normalized_distribution_has_uniform_no_part(rng):
     for _ in range(50):
         p = boxes.random_nonsignaling(rng)
@@ -250,6 +272,25 @@ def test_nonsignaling_iff_si_component_vanishes(rng):
         assert np.linalg.norm(decompose(q).si) > 1e-9
 
 
+def test_block_views_match_cell_loops(rng):
+    # marginals, correlators and the nonsignaling test against per-cell sums
+    behaviors = [boxes.random_nonsignaling(rng) for _ in range(10)]
+    behaviors += [rng.dirichlet(np.ones(4), size=4).ravel() for _ in range(10)]
+    for v in behaviors:
+        for a, x, y in itertools.product(range(2), repeat=3):
+            assert marginal_a(v, a, x, y) == sum(v[vector_index(a, b, x, y)] for b in range(2))
+            assert marginal_b(v, a, x, y) == sum(v[vector_index(b, a, x, y)] for b in range(2))
+        for x, y in itertools.product(range(2), repeat=2):
+            assert correlator(v, x, y) == sum(
+                (-1.0) ** (a + b) * v[vector_index(a, b, x, y)]
+                for a in range(2) for b in range(2))
+        expected = all(
+            abs(marginal_a(v, c, s, 0) - marginal_a(v, c, s, 1)) <= 1e-9
+            and abs(marginal_b(v, c, 0, s) - marginal_b(v, c, 1, s)) <= 1e-9
+            for c, s in itertools.product(range(2), repeat=2))
+        assert is_nonsignaling(v, tol=1e-9) == expected
+
+
 def test_correlator_identity(rng):
     # the correlation component is sum_xy E_xy * pattern_xy
     for _ in range(20):
@@ -285,6 +326,27 @@ def test_distribution_predicates():
     bad[0] = -0.1
     bad[1] = 0.6
     assert not is_distribution(bad)
+
+
+def test_check_distribution_reports_the_first_bad_block():
+    # blocks (0,1) and (1,0) are both off; (0,1) comes first in the order
+    # (0,0), (0,1), (1,0), (1,1), though its block id x + 2y is the larger
+    v = boxes.uniform_box()
+    v[block_indices(0, 1)] = 0.5
+    v[block_indices(1, 0)] = 0.375
+    with pytest.raises(ValueError) as exc:
+        check_distribution(v)
+    assert str(exc.value) == f"block (0,1) sums to {np.float64(2.0)!r}, expected 1"
+
+
+def test_check_distribution_reports_a_negative_entry_first():
+    bad = boxes.uniform_box()
+    bad[0] = -0.1
+    bad[1] = 0.6
+    bad[block_indices(1, 1)] = 0.5
+    with pytest.raises(ValueError) as exc:
+        check_distribution(bad)
+    assert str(exc.value) == "negative probability -0.1"
 
 
 def test_json_round_trip(rng):

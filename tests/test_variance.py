@@ -7,19 +7,21 @@ from hypothesis import strategies as st
 
 from bellopt import boxes
 from bellopt.inequalities import BellInequality, catalog, ns_equivalent
-from bellopt.relabel import GLOBAL_OUTCOME_FLIP, matrix_of
+from bellopt.relabel import GLOBAL_OUTCOME_FLIP, act, enumerate_group, matrix_of
 from bellopt.sampling import Allocation, SamplingScheme
 from bellopt.sources import nv_symmetric_distribution, spdc_distribution
 from bellopt.space import (
     DIM,
     Subspace,
     block_indices,
+    check_distribution,
     projector,
     q_basis,
     subspace_signs,
-    vector_index,
 )
 from bellopt.variance import (
+    _pi_bar,
+    _si_basis,
     analytic_covariance,
     check_covariance,
     mc_covariance,
@@ -107,6 +109,42 @@ def test_analytic_covariance_matches_exact_enumeration():
             assert np.max(np.abs(sigma[np.ix_(idx, idx)] - exact)) < 1e-14
 
 
+def _ix_loop_covariance(p, scheme):
+    # the per-block np.ix_ fill that the block view replaced, kept as oracle
+    arr = check_distribution(p, tol=1e-9)
+    if scheme.allocation is not Allocation.FIXED_EQUAL:
+        raise ValueError("the analytic form needs deterministic per-block counts")
+    counts = scheme.block_counts()
+    sigma = np.zeros((DIM, DIM))
+    for x in range(2):
+        for y in range(2):
+            idx = block_indices(x, y)
+            pb = arr[idx]
+            n = counts[x + 2 * y]
+            sigma[np.ix_(idx, idx)] = (np.diag(pb) - np.outer(pb, pb)) / n
+    return sigma
+
+
+def test_analytic_covariance_matches_ix_loop_oracle(rng):
+    # nonsignaling and signaling behaviors, even and uneven block counts
+    behaviors = [boxes.random_nonsignaling(rng) for _ in range(20)]
+    behaviors += [rng.dirichlet(np.ones(4), size=4).ravel() for _ in range(20)]
+    behaviors += [boxes.local_vertex(0, 1, 1, 0), spdc_distribution()]
+    for trials in (4, 5, 6, 7, 245, 1001, 10**8 + 3, 176_000_000):
+        scheme = SamplingScheme(trials)
+        for p in behaviors:
+            assert np.array_equal(analytic_covariance(p, scheme), _ix_loop_covariance(p, scheme))
+
+
+def test_optimizer_constants_are_cached_and_read_only():
+    for build in (_si_basis, _pi_bar):
+        assert build() is build()
+        assert build().flags.writeable is False
+    assert np.array_equal(_pi_bar(), np.eye(DIM) - PI_SI)
+    assert np.array_equal(_si_basis(), np.stack(
+        [q_basis(*s) / 4.0 for s in subspace_signs(Subspace.SI)], axis=1))
+
+
 def test_analytic_covariance_is_psd_on_random_behaviors(rng):
     for _ in range(20):
         p = boxes.random_nonsignaling(rng)
@@ -164,6 +202,22 @@ def test_check_covariance_verdict_is_scale_invariant(trials, seed, log_eig, log_
     c = 2.0**k
     assert _accepted(S) == _accepted(c * S)
     assert _accepted(S / scale) == _accepted(S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trials=st.sampled_from([100, 10**8]), seed=st.integers(0, 2**32 - 1),
+       name=st.sampled_from(["CHSH", "CH", "EH"]), g=st.integers(0, 127),
+       k=st.integers(-40, 40))
+def test_optimal_variant_is_scale_invariant(trials, seed, name, g, k):
+    # scaling the covariance by a power of two is exact, and the optimum must
+    # not depend on the covariance's overall scale
+    p = boxes.random_nonsignaling(np.random.default_rng(seed))
+    S = analytic_covariance(p, SamplingScheme(trials))
+    base = catalog(name)
+    beta = BellInequality(act(enumerate_group()[g], base.coeffs), base.local_bound, name)
+    ref = optimal_variant(beta, S).coeffs
+    scaled = optimal_variant(beta, 2.0**k * S).coeffs
+    assert np.max(np.abs(scaled - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_check_covariance_at_the_photon_pair_scale():
