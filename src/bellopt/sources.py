@@ -10,13 +10,17 @@ two parties.  Each party's measurement is a polarization rotation followed
 by a click/no-click detector on its H mode (1 = detection); photon loss on
 every mode is folded into that detector as an effect in the Heisenberg
 picture, so the state never carries environment modes (detector
-inefficiency as loss: Eberhard, PRA 47, R747 (1993)).
+inefficiency as loss: Eberhard, PRA 47, R747 (1993)).  The rotation's
+eigenbasis depends on the cutoff only and is computed once per cutoff; the
+loss is one (d^2, d^2) matrix per party, applied to each mode's index pair
+of the effect as one matrix product.
 
 Both models return exactly nonsignaling, normalized behaviors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -184,13 +188,24 @@ def _pair_source(mu: float, dim: int) -> np.ndarray:
     return math.exp(-mu / 2.0) * out
 
 
-def _mode_rotation(theta: float, dim: int) -> np.ndarray:
-    """Two-mode polarization rotation U with U+ a_H U = cos a_H + sin a_V,
-    exp(theta G) from the eigendecomposition of the Hermitian -iG."""
+@functools.lru_cache(maxsize=None)
+def _rotation_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of the Hermitian -iG, where
+    G = a_H+ a_V - a_H a_V+ generates the two-mode polarization rotation.
+    It depends on ``dim`` only: computed once per ``dim``, kept read-only."""
     a = _lowering(dim)
     at = a.T
     gen = np.kron(at, a) - np.kron(a, at)
     w, v = np.linalg.eigh(-1j * gen)
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
+
+
+def _mode_rotation(theta: float, dim: int) -> np.ndarray:
+    """Two-mode polarization rotation U with U+ a_H U = cos a_H + sin a_V,
+    exp(theta G) from the cached eigenbasis of -iG."""
+    w, v = _rotation_eigenbasis(dim)
     return ((v * np.exp(1j * theta * w)) @ v.conj().T).real
 
 
@@ -201,25 +216,42 @@ def _apply_pair(op: np.ndarray, psi: np.ndarray, axes: tuple[int, int]) -> np.nd
     return np.moveaxis(out, [0, 1], list(axes))
 
 
-def _no_click_effect(theta: float, eta: float, dim: int) -> np.ndarray:
-    """One party's no-click effect on its (H, V) modes: loss of transmission
-    ``eta`` on both modes, the rotation U, then H-mode vacuum,
-    F = sum_{kH,kV} (K_kH x K_kV)^T U^T (|0><0|_H x 1_V) U (K_kH x K_kV)
-    with loss Kraus operators K_n = (1-eta)^(n/2)/sqrt(n!) eta^(N/2) a^n."""
+def _loss_adjoint(eta: float, dim: int) -> np.ndarray:
+    """The adjoint of a loss channel of transmission ``eta`` on one mode, as a
+    (dim^2, dim^2) matrix on the index pair (X, X') of an operator,
+    L[(k, m), (i, p)] = sum_h K_h[i, k] K_h[p, m], with the Kraus operators
+    K_h = (1-eta)^(h/2)/sqrt(h!) eta^(N/2) a^h.  K_h[i, k] vanishes unless
+    k = i + h, so each entry is a single product, exact in any order."""
     a = _lowering(dim)
     damp = np.diag(eta ** (np.arange(dim) / 2.0))
     kraus, an = np.empty((dim, dim, dim)), np.eye(dim)
     for n in range(dim):
         kraus[n] = ((1.0 - eta) ** (n / 2.0) / math.sqrt(math.factorial(n))) * (damp @ an)
         an = an @ a
+    kf = kraus.reshape(dim, dim * dim)  # rows h, columns (i, k)
+    loss = (kf.T @ kf).reshape(dim, dim, dim, dim)  # (i, k, p, m)
+    return loss.transpose(1, 3, 0, 2).reshape(dim * dim, dim * dim)
+
+
+def _no_click_effect(theta: float, loss: np.ndarray, dim: int) -> np.ndarray:
+    """One party's no-click effect on its (H, V) modes: loss on both modes
+    (``loss`` is the mode's ``_loss_adjoint``), the rotation U, then H-mode
+    vacuum, F = sum_{kH,kV} (K_kH x K_kV)^T U^T (|0><0|_H x 1_V) U (K_kH x K_kV).
+
+    U^T (|0><0|_H x 1_V) is U's first ``dim`` rows, transposed and padded
+    with zero columns.  Its product with U keeps the inner length dim^2: the
+    shorter product over U's first rows rounds differently at some cutoffs,
+    which would move the behavior in its last bits.
+    The loss adjoint then acts as one matrix product on the (H, H') axis
+    pair and one on the (V, V') pair."""
+    n = dim * dim
     u = _mode_rotation(theta, dim)
-    vacuum_h = np.zeros((dim, dim))
-    vacuum_h[0, 0] = 1.0
-    g = (u.T @ np.kron(vacuum_h, np.eye(dim)) @ u).reshape(dim, dim, dim, dim)
-    # axes (H, V, H', V'): the loss channel's adjoint on each mode in turn
-    g = np.einsum("hik,ijpq,hpm->kjmq", kraus, g, kraus, optimize=True)
-    g = np.einsum("vjl,kjmq,vqn->klmn", kraus, g, kraus, optimize=True)
-    return g.reshape(dim * dim, dim * dim)
+    proj = np.zeros((n, n))
+    proj[:, :dim] = u[:dim].T
+    g = (proj @ u).reshape(dim, dim, dim, dim)  # axes (H, V, H', V')
+    g = loss @ g.transpose(0, 2, 1, 3).reshape(n, n)  # rows (H, H'), columns (V, V')
+    g = loss @ g.reshape(dim, dim, dim, dim).transpose(2, 3, 0, 1).reshape(n, n)  # (V, V'), (H, H')
+    return g.reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1).reshape(n, n)
 
 
 def spdc_distribution(mu: float = SPDC_MU,
@@ -266,8 +298,9 @@ def spdc_distribution(mu: float = SPDC_MU,
     # behavior: the V->H leakage must interfere destructively with the HH
     # pair amplitude at the (1,1) settings
     one = np.eye(d * d)
-    eff_a = [(f, one - f) for f in (_no_click_effect(t, eta_a, d) for t in angles.alice)]
-    eff_b = [(f, one - f) for f in (_no_click_effect(-t, eta_b, d) for t in angles.bob)]
+    loss_a, loss_b = _loss_adjoint(eta_a, d), _loss_adjoint(eta_b, d)
+    eff_a = [(f, one - f) for f in (_no_click_effect(t, loss_a, d) for t in angles.alice)]
+    eff_b = [(f, one - f) for f in (_no_click_effect(-t, loss_b, d) for t in angles.bob)]
 
     p = np.empty((2, 2, 4))  # [y, x, a + 2b]
     for x in range(2):

@@ -229,7 +229,7 @@ def check_distribution(v, tol: float = ATOL_EXACT) -> np.ndarray:
     off = np.argwhere(np.abs(sums - 1.0) > tol)  # in the order (0,0), (0,1), (1,0), (1,1)
     if off.size:
         x, y = off[0]
-        raise ValueError(f"block ({x},{y}) sums to {sums[x, y]!r}, expected 1")
+        raise ValueError(f"block ({x},{y}) sums to {float(sums[x, y])}, expected 1")
     return arr
 
 

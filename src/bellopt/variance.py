@@ -42,6 +42,11 @@ def check_covariance(sigma) -> np.ndarray:
     verdict is the same for S and c*S; a covariance at 1e8 trials has entries
     near 1e-12.
     """
+    return _checked_covariance(sigma)[0]
+
+
+def _checked_covariance(sigma) -> tuple[np.ndarray, float]:
+    """``check_covariance``'s result and the scale max|S_ij| it measured."""
     S = np.asarray(sigma, dtype=float)
     if S.shape != (DIM, DIM):
         raise ValueError(f"covariance must be 16x16, got {S.shape}")
@@ -49,12 +54,12 @@ def check_covariance(sigma) -> np.ndarray:
     if not np.isfinite(scale):
         raise ValueError("covariance entries must be finite")
     if scale == 0.0:
-        return S  # e.g. the sample covariance of identical runs
+        return S, scale  # e.g. the sample covariance of identical runs
     if np.max(np.abs(S - S.T)) > SYM_TOL * scale:
         raise ValueError("covariance is not symmetric")
     if float(np.linalg.eigvalsh(S)[0]) < -EIG_TOL * scale:
         raise ValueError("covariance is not positive semidefinite")
-    return S
+    return S, scale
 
 
 def analytic_covariance(p, scheme: SamplingScheme) -> np.ndarray:
@@ -134,7 +139,7 @@ def optimal_variant(beta: BellInequality, sigma) -> BellInequality:
     ``RCOND`` times the largest dropped; the cutoff is applied inside the
     4-dimensional signaling block so it scales with the covariance itself.
     """
-    S = check_covariance(sigma)
+    S, scale = _checked_covariance(sigma)
     b_nos = _pi_bar() @ beta.coeffs
     B = _si_basis()
     BtS = B.T @ S
@@ -144,7 +149,7 @@ def optimal_variant(beta: BellInequality, sigma) -> BellInequality:
     # carry a vanishing share of the total variance are treated as exactly
     # variance-free rather than inverted as numerical noise
     u, svals, vt = np.linalg.svd(block)
-    cut = RCOND * max(float(svals[0]) if svals.size else 0.0, float(np.max(np.abs(S))), 1e-300)
+    cut = RCOND * max(float(svals[0]) if svals.size else 0.0, scale, 1e-300)
     inv = np.where(svals > cut, 1.0 / np.where(svals > cut, svals, 1.0), 0.0)
     si_coeffs = -(vt.T * inv) @ (u.T @ rhs)
     name = f"{beta.name}*" if beta.name else "optimal-variant"

@@ -7,8 +7,6 @@ two significant figures for the photon-pair setup.
 
 import numpy as np
 
-from bellopt.space import vector_index
-
 # spin-pair behavior (two-decimal print)
 P1_DISPLAY = [
     [0.39, 0.09, 0.35, 0.13],
@@ -44,20 +42,21 @@ P2_SRATIO_OPT = 4.8
 CHSH_UNSHIFTED_VALUE = 2.30  # spin-pair violation before the -2 shift
 
 
+def _from_display(rows) -> np.ndarray:
+    """16-vector of a display-layout table: rows (x, a), columns (y, b) are
+    the tensor [x, a, y, b], transposed to the vector's [y, x, b, a]."""
+    return np.asarray(rows, dtype=float).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).ravel()
+
+
+def _block(cells) -> np.ndarray:
+    """One setting block of ``P2_BLOCKS`` as a 2x2 table, rows a, columns b."""
+    return np.array([[cells["00"], cells["01"]], [cells["10"], cells["11"]]])
+
+
 def p1_printed() -> np.ndarray:
-    v = np.empty(16)
-    for a in range(2):
-        for b in range(2):
-            for x in range(2):
-                for y in range(2):
-                    v[vector_index(a, b, x, y)] = P1_DISPLAY[2 * x + a][2 * y + b]
-    return v
+    return _from_display(P1_DISPLAY)
 
 
 def p2_printed() -> np.ndarray:
-    v = np.empty(16)
-    for (x, y), cells in P2_BLOCKS.items():
-        for key, val in cells.items():
-            a, b = int(key[0]), int(key[1])
-            v[vector_index(a, b, x, y)] = val
-    return v
+    blocks = [[_block(P2_BLOCKS[(x, y)]) for y in range(2)] for x in range(2)]
+    return _from_display(np.block(blocks))

@@ -8,8 +8,20 @@ import pytest
 from bellopt.inequalities import catalog
 from bellopt.sources import (
     NV_EPSILON,
+    SPDC_ANGLES_DEG,
+    SPDC_ETA_A,
+    SPDC_ETA_B,
+    SPDC_MU,
+    SPDC_RATIO,
     MeasurementAngles,
     ReadoutModel,
+    _apply_pair,
+    _loss_adjoint,
+    _lowering,
+    _mode_rotation,
+    _no_click_effect,
+    _pair_source,
+    _rotation_eigenbasis,
     nv_distribution,
     nv_symmetric_distribution,
     spdc_distribution,
@@ -17,7 +29,33 @@ from bellopt.sources import (
     two_qubit_state,
 )
 from bellopt.space import correlator, is_nonsignaling, vector_index
-from reference_data import CHSH_UNSHIFTED_VALUE, p1_printed, p2_printed
+from reference_data import (
+    CHSH_UNSHIFTED_VALUE,
+    P1_DISPLAY,
+    P2_BLOCKS,
+    p1_printed,
+    p2_printed,
+)
+
+
+# --- reference data ----------------------------------------------------------
+
+def test_printed_behaviors_match_cell_loops():
+    # oracle: the per-cell loops that filled the reference vectors before the
+    # display tables were read through a tensor view
+    p1 = np.empty(16)
+    for a in range(2):
+        for b in range(2):
+            for x in range(2):
+                for y in range(2):
+                    p1[vector_index(a, b, x, y)] = P1_DISPLAY[2 * x + a][2 * y + b]
+    p2 = np.empty(16)
+    for (x, y), cells in P2_BLOCKS.items():
+        for key, val in cells.items():
+            a, b = int(key[0]), int(key[1])
+            p2[vector_index(a, b, x, y)] = val
+    assert np.array_equal(p1_printed(), p1)
+    assert np.array_equal(p2_printed(), p2)
 
 
 # --- spin-pair model -------------------------------------------------------
@@ -256,6 +294,106 @@ def test_spdc_channel_loss_matches_kraus_branch_oracle():
     p = spdc_distribution(mu=mu, ratio=ratio, eta_a=eta_a, eta_b=eta_b,
                           angles=angles, cutoff=cutoff)
     assert np.max(np.abs(p - oracle)) < 1e-12
+
+
+# oracle: the per-call eigendecomposition and the einsum Kraus contractions
+# the photon-pair model used before the eigenbasis cache and the loss-adjoint
+# matrix, kept verbatim
+
+
+def _oracle_mode_rotation(theta: float, dim: int) -> np.ndarray:
+    """Two-mode polarization rotation U with U+ a_H U = cos a_H + sin a_V,
+    exp(theta G) from the eigendecomposition of the Hermitian -iG."""
+    a = _lowering(dim)
+    at = a.T
+    gen = np.kron(at, a) - np.kron(a, at)
+    w, v = np.linalg.eigh(-1j * gen)
+    return ((v * np.exp(1j * theta * w)) @ v.conj().T).real
+
+
+def _oracle_no_click_effect(theta: float, eta: float, dim: int) -> np.ndarray:
+    """One party's no-click effect on its (H, V) modes: loss of transmission
+    ``eta`` on both modes, the rotation U, then H-mode vacuum,
+    F = sum_{kH,kV} (K_kH x K_kV)^T U^T (|0><0|_H x 1_V) U (K_kH x K_kV)
+    with loss Kraus operators K_n = (1-eta)^(n/2)/sqrt(n!) eta^(N/2) a^n."""
+    a = _lowering(dim)
+    damp = np.diag(eta ** (np.arange(dim) / 2.0))
+    kraus, an = np.empty((dim, dim, dim)), np.eye(dim)
+    for n in range(dim):
+        kraus[n] = ((1.0 - eta) ** (n / 2.0) / math.sqrt(math.factorial(n))) * (damp @ an)
+        an = an @ a
+    u = _oracle_mode_rotation(theta, dim)
+    vacuum_h = np.zeros((dim, dim))
+    vacuum_h[0, 0] = 1.0
+    g = (u.T @ np.kron(vacuum_h, np.eye(dim)) @ u).reshape(dim, dim, dim, dim)
+    # axes (H, V, H', V'): the loss channel's adjoint on each mode in turn
+    g = np.einsum("hik,ijpq,hpm->kjmq", kraus, g, kraus, optimize=True)
+    g = np.einsum("vjl,kjmq,vqn->klmn", kraus, g, kraus, optimize=True)
+    return g.reshape(dim * dim, dim * dim)
+
+
+def _oracle_spdc_distribution(mu, ratio, eta_a, eta_b, angles, cutoff):
+    """``spdc_distribution`` assembled from the oracle effects."""
+    d = cutoff + 1
+    mu_v = mu / (1.0 + ratio ** 2)
+    mu_h = ratio ** 2 * mu / (1.0 + ratio ** 2)
+    psi = np.zeros((d, d, d, d))
+    psi[0, 0, 0, 0] = 1.0
+    psi = _apply_pair(_pair_source(mu_v, d), psi, (1, 3))
+    psi = _apply_pair(_pair_source(mu_h, d), psi, (0, 2))
+    psi = psi.reshape(d * d, d * d)
+    one = np.eye(d * d)
+    eff_a = [(f, one - f) for f in (_oracle_no_click_effect(t, eta_a, d) for t in angles.alice)]
+    eff_b = [(f, one - f) for f in (_oracle_no_click_effect(-t, eta_b, d) for t in angles.bob)]
+    p = np.empty((2, 2, 4))
+    for x in range(2):
+        for y in range(2):
+            q = np.array([np.sum(psi * (ea @ psi @ eb))
+                          for eb in eff_b[y] for ea in eff_a[x]])
+            p[y, x] = q / q.sum()
+    return p.ravel()
+
+
+def test_no_click_effect_matches_einsum_oracle():
+    thetas = (0.0, math.pi / 2, -math.pi / 2, *np.deg2rad(SPDC_ANGLES_DEG))
+    for dim in range(2, 8):
+        for eta in (0.0, 0.3, 0.747, 1.0):
+            loss = _loss_adjoint(eta, dim)
+            for theta in thetas:
+                assert np.array_equal(_mode_rotation(theta, dim),
+                                      _oracle_mode_rotation(theta, dim))
+                assert np.array_equal(_no_click_effect(theta, loss, dim),
+                                      _oracle_no_click_effect(theta, eta, dim))
+
+
+def test_spdc_distribution_matches_einsum_oracle():
+    rng = np.random.default_rng(8)
+    for cutoff in range(1, 7):
+        setups = [(SPDC_MU, SPDC_RATIO, SPDC_ETA_A, SPDC_ETA_B, spdc_reference_angles())]
+        for _ in range(3):
+            setups.append((SPDC_MU * rng.uniform(0.5, 1.5), rng.uniform(0.0, 1.5),
+                           rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0),
+                           MeasurementAngles(tuple(rng.uniform(-np.pi, np.pi, 2)),
+                                             tuple(rng.uniform(-np.pi, np.pi, 2)))))
+        for mu, ratio, eta_a, eta_b, angles in setups:
+            p = spdc_distribution(mu, ratio, eta_a, eta_b, angles, cutoff)
+            assert np.array_equal(p, _oracle_spdc_distribution(mu, ratio, eta_a, eta_b,
+                                                               angles, cutoff))
+
+
+def test_rotation_eigenbasis_is_cached_and_read_only():
+    _rotation_eigenbasis.cache_clear()
+    for _ in range(3):
+        for dim in (2, 3, 5):
+            for theta in (0.1, -0.4):
+                _mode_rotation(theta, dim)
+    info = _rotation_eigenbasis.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    for dim in (2, 3, 5):
+        w, v = _rotation_eigenbasis(dim)
+        assert not w.flags.writeable and not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0
 
 
 def test_spdc_parameter_validation():
