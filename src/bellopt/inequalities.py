@@ -9,6 +9,7 @@ differ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ class BellInequality:
         arr = as_vector(self.coeffs)
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-        if not np.isfinite(self.local_bound):
+        if not math.isfinite(self.local_bound):
             raise ValueError("local bound must be finite")
 
     def value(self, p) -> float:

@@ -130,7 +130,8 @@ def frequencies_ensemble(p, scheme: SamplingScheme, runs: int,
             rejections += empty.size
             n_xy[empty] = _block_totals(arr, scheme, rng, empty.size)
             empty = empty[np.min(n_xy[empty], axis=1) == 0]
-        out[start:start + k] = frequencies(_cell_counts(arr, n_xy, rng))
+        counts = _cell_counts(arr, n_xy, rng).reshape(k, 4, 4)  # [run, block, cell]
+        out[start:start + k] = (counts / n_xy[:, :, None]).reshape(k, DIM)
     return out, rejections
 
 

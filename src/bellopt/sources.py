@@ -10,10 +10,11 @@ two parties.  Each party's measurement is a polarization rotation followed
 by a click/no-click detector on its H mode (1 = detection); photon loss on
 every mode is folded into that detector as an effect in the Heisenberg
 picture, so the state never carries environment modes (detector
-inefficiency as loss: Eberhard, PRA 47, R747 (1993)).  The rotation's
-eigenbasis depends on the cutoff only and is computed once per cutoff; the
-loss is one (d^2, d^2) matrix per party, applied to each mode's index pair
-of the effect as one matrix product.
+inefficiency as loss: Eberhard, PRA 47, R747 (1993)).  All of it is in
+closed form, for the four party-settings at once: the state is diagonal in
+the pair-number basis, the rotated H-vacuum projector is rank one on each
+photon-number block, the loss adjoint is one binomial (d^2, d^2) matrix per
+party, and the 16 cells s^T (E_a o E_b) s are one matrix product.
 
 Both models return exactly nonsignaling, normalized behaviors.
 """
@@ -99,6 +100,9 @@ def two_qubit_state(lam: float, visibility: float) -> np.ndarray:
     Diagonal (lam, 1-lam, 1-lam, lam)/2 with coherence ``visibility`` between
     the antiparallel components; positivity requires |V| <= 1 - lam.
     """
+    for name, value in (("lam", lam), ("visibility", visibility)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     rho = 0.5 * np.array([
         [lam, 0.0, 0.0, 0.0],
         [0.0, 1.0 - lam, visibility, 0.0],
@@ -168,90 +172,90 @@ def spdc_reference_angles() -> MeasurementAngles:
     return MeasurementAngles((a0, a1), (b0, b1))
 
 
-def _lowering(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim))
-    for n in range(1, dim):
-        a[n - 1, n] = math.sqrt(n)
-    return a
-
-
-def _pair_source(mu: float, dim: int) -> np.ndarray:
-    """Truncated pair-creation operator on a two-mode space:
-    exp(-mu/2) sum_n mu^(n/2)/n!^(3/2) (a+ b+)^n, Poissonian pair number."""
-    at = _lowering(dim).T
-    pair = np.kron(at, at)
-    out = np.zeros_like(pair)
-    term = np.eye(dim * dim)
-    for n in range(dim):
-        out += (mu ** (n / 2.0) / math.factorial(n) ** 1.5) * term
-        term = term @ pair
-    return math.exp(-mu / 2.0) * out
-
-
 @functools.lru_cache(maxsize=None)
-def _rotation_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w, v) of the Hermitian -iG, where
-    G = a_H+ a_V - a_H a_V+ generates the two-mode polarization rotation.
-    It depends on ``dim`` only: computed once per ``dim``, kept read-only."""
-    a = _lowering(dim)
-    at = a.T
-    gen = np.kron(at, a) - np.kron(a, at)
-    w, v = np.linalg.eigh(-1j * gen)
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return w, v
+def _fock_tables(dim: int) -> dict[str, np.ndarray]:
+    """Read-only tables of one party's (H, V) modes, each truncated at ``dim``
+    photons, built once per ``dim``.  A party index (j, m) holds j H and m V
+    photons, N = j + m; a one-mode loss keeps i of k photons.  ``vac_pairs``
+    and ``loss_pairs`` list the nonzero entries of r r^T (equal N < dim) and
+    of the loss adjoint (k - i = m - p) for ``_pair_products``."""
+    n = range(dim)
+    tot = np.add.outer(np.arange(dim), np.arange(dim)).ravel()
+    vac = [(j * dim + m, jj * dim + mm, ((j * dim + jj) * dim + m) * dim + mm)
+           for j in n for jj in n for m in n for mm in n if j + m == jj + mm < dim]
+    loss = [(k * dim + i, m * dim + p, ((k * dim + m) * dim + i) * dim + p)
+            for k in n for m in n for i in n for p in n if k - i == m - p >= 0]
+    tables = {
+        "sqrt_fact": np.sqrt([float(math.factorial(k)) for k in n]),
+        "vac_binom": np.sqrt([[math.comb(j + m, j) if j + m < dim else 0 for m in n] for j in n]),
+        "vac_pairs": np.array(vac).T,
+        "others": (tot[:, None] == tot) - np.eye(dim * dim),  # equal N, other index
+        "high_n": (tot >= dim).astype(float),  # N >= dim
+        "binom": np.sqrt([[float(math.comb(k, i)) for i in n] for k in n]),
+        "lost": np.maximum(np.subtract.outer(np.arange(dim), np.arange(dim)), 0),  # k - i
+        "loss_pairs": np.array(loss).T,
+    }
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
 
 
-def _mode_rotation(theta: float, dim: int) -> np.ndarray:
-    """Two-mode polarization rotation U with U+ a_H U = cos a_H + sin a_V,
-    exp(theta G) from the cached eigenbasis of -iG."""
-    w, v = _rotation_eigenbasis(dim)
-    return ((v * np.exp(1j * theta * w)) @ v.conj().T).real
+def _pair_products(v: np.ndarray, pairs: np.ndarray, n: int) -> np.ndarray:
+    """(len(v), n, n) matrices, zero but for v[a] v[b] at each listed pair."""
+    a, b, position = pairs
+    out = np.zeros((v.shape[0], n * n))
+    out[:, position] = v[:, a] * v[:, b]
+    return out.reshape(-1, n, n)
 
 
-def _apply_pair(op: np.ndarray, psi: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
-    d = psi.shape[0]
-    op4 = op.reshape(d, d, d, d)
-    out = np.tensordot(op4, psi, axes=([2, 3], list(axes)))
-    return np.moveaxis(out, [0, 1], list(axes))
+def _rotated_vacuum(thetas, dim: int) -> np.ndarray:
+    """The rotated H-vacuum states U^T |0, N>, N < dim, of each polarization
+    rotation angle (U+ a_H U = cos a_H + sin a_V), as one (dim, dim) array
+    per angle: r[j, m] = sqrt(C(j+m, j)) cos^m (-sin)^j, 0 where j + m >= dim."""
+    th = np.asarray(thetas, dtype=float)[:, None, None]
+    n = np.arange(dim)
+    return _fock_tables(dim)["vac_binom"] * (-np.sin(th)) ** n[:, None] * np.cos(th) ** n
 
 
-def _loss_adjoint(eta: float, dim: int) -> np.ndarray:
-    """The adjoint of a loss channel of transmission ``eta`` on one mode, as a
-    (dim^2, dim^2) matrix on the index pair (X, X') of an operator,
-    L[(k, m), (i, p)] = sum_h K_h[i, k] K_h[p, m], with the Kraus operators
-    K_h = (1-eta)^(h/2)/sqrt(h!) eta^(N/2) a^h.  K_h[i, k] vanishes unless
-    k = i + h, so each entry is a single product, exact in any order."""
-    a = _lowering(dim)
-    damp = np.diag(eta ** (np.arange(dim) / 2.0))
-    kraus, an = np.empty((dim, dim, dim)), np.eye(dim)
-    for n in range(dim):
-        kraus[n] = ((1.0 - eta) ** (n / 2.0) / math.sqrt(math.factorial(n))) * (damp @ an)
-        an = an @ a
-    kf = kraus.reshape(dim, dim * dim)  # rows h, columns (i, k)
-    loss = (kf.T @ kf).reshape(dim, dim, dim, dim)  # (i, k, p, m)
-    return loss.transpose(1, 3, 0, 2).reshape(dim * dim, dim * dim)
+def _loss_adjoints(etas, dim: int) -> np.ndarray:
+    """The adjoint of a one-mode loss channel of each transmission ``eta``, as
+    a (dim^2, dim^2) matrix on the index pair (X, X') of an operator,
+    L[(k, m), (i, p)] = K[k, i] K[m, p] if k - i = m - p, else 0, where
+    K[k, i] = sqrt(C(k, i)) eta^(i/2) (1-eta)^((k-i)/2) is the amplitude of
+    keeping i of k photons: the Kraus sum in closed form.  Shape
+    (len(etas), dim^2, dim^2)."""
+    t = _fock_tables(dim)
+    eta = np.asarray(etas, dtype=float)[:, None, None]
+    kept = t["binom"] * np.sqrt(eta) ** np.arange(dim) * np.sqrt(1.0 - eta) ** t["lost"]
+    return _pair_products(kept.reshape(len(etas), -1), t["loss_pairs"], dim * dim)
 
 
-def _no_click_effect(theta: float, loss: np.ndarray, dim: int) -> np.ndarray:
-    """One party's no-click effect on its (H, V) modes: loss on both modes
-    (``loss`` is the mode's ``_loss_adjoint``), the rotation U, then H-mode
-    vacuum, F = sum_{kH,kV} (K_kH x K_kV)^T U^T (|0><0|_H x 1_V) U (K_kH x K_kV).
+def _effects(thetas, etas, dim: int) -> np.ndarray:
+    """The no-click and click effects of each (angle, transmission) pair on a
+    party's modes, shape (2, len(thetas), dim^2, dim^2) (outcome first), each
+    with rows (H, H') and columns (V, V'): entry [(j, j'), (m, m')] is
+    <j, m| E |j', m'>.
 
-    U^T (|0><0|_H x 1_V) is U's first ``dim`` rows, transposed and padded
-    with zero columns.  Its product with U keeps the inner length dim^2: the
-    shorter product over U's first rows rounds differently at some cutoffs,
-    which would move the behavior in its last bits.
-    The loss adjoint then acts as one matrix product on the (H, H') axis
-    pair and one on the (V, V') pair."""
-    n = dim * dim
-    u = _mode_rotation(theta, dim)
-    proj = np.zeros((n, n))
-    proj[:, :dim] = u[:dim].T
-    g = (proj @ u).reshape(dim, dim, dim, dim)  # axes (H, V, H', V')
-    g = loss @ g.transpose(0, 2, 1, 3).reshape(n, n)  # rows (H, H'), columns (V, V')
-    g = loss @ g.reshape(dim, dim, dim, dim).transpose(2, 3, 0, 1).reshape(n, n)  # (V, V'), (H, H')
-    return g.reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1).reshape(n, n)
+    No click is loss on both modes, the rotation, then H-mode vacuum,
+    F = L_H L_V (U^T (|0><0|_H x 1_V) U): the rotated projector is r r^T on
+    pairs of equal N, and L_H acts on the rows, L_V on the columns.  The
+    click effect is 1 - F, with each Fock state's click probability computed
+    as the lossy population of the rotated click projector, whose diagonal
+    is the sum of the other r^2 of its block (1 - F_ii would lose digits
+    where F_ii is near 1)."""
+    t = _fock_tables(dim)
+    k, n = len(thetas), dim * dim
+    r = _rotated_vacuum(thetas, dim).reshape(k, n)
+    loss = _loss_adjoints(etas, dim)
+    g = loss @ _pair_products(r, t["vac_pairs"], n)  # L_H on the rows
+    e = np.empty((2, k, n, n))
+    np.matmul(g, loss.transpose(0, 2, 1), out=e[0])  # L_V on the columns
+    np.negative(e[0], out=e[1])
+    pop = (r * r @ t["others"] + t["high_n"]).reshape(k, dim, dim)
+    ii = np.arange(dim) * (dim + 1)  # one-mode index pairs (i, i)
+    transfer = loss[:, ii[:, None], ii]  # K[k, i]^2
+    e[1][:, ii[:, None], ii] = transfer @ pop @ transfer.transpose(0, 2, 1)
+    return e
 
 
 def spdc_distribution(mu: float = SPDC_MU,
@@ -268,14 +272,16 @@ def spdc_distribution(mu: float = SPDC_MU,
     are the per-party transmissions applied to every mode.  Fock spaces are
     truncated at ``cutoff`` photons per mode.
 
-    Each cell is p(ab|xy) = <psi| E_a x E_b |psi> with E_0 the party's
-    no-click effect (loss, rotation, H-mode vacuum) and E_1 = 1 - E_0; the
-    four cells of a block are normalized by their sum.
+    Each pair puts one photon of a mode with each party, so the state is
+    psi = sum_i s_i |i>_A |i>_B over i = (n_H, n_V), with s_i = c(mu_H, n_H)
+    c(mu_V, n_V) and c(mu, n) = e^(-mu/2) mu^(n/2)/sqrt(n!).  Each cell
+    <psi| E_a x E_b |psi> = s^T (E_a o E_b) s (o elementwise), with E_0 the
+    party's no-click effect and E_1 = 1 - E_0; each block is normalized by
+    its sum.
     """
-    if mu < 0.0:
-        raise ValueError("mean pair number must be nonnegative")
-    if ratio < 0.0:
-        raise ValueError("amplitude ratio must be nonnegative")
+    for name, value in (("mu", mu), ("ratio", ratio)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     for eta in (eta_a, eta_b):
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"transmission {eta} outside [0, 1]")
@@ -286,26 +292,17 @@ def spdc_distribution(mu: float = SPDC_MU,
     d = cutoff + 1
     mu_v = mu / (1.0 + ratio ** 2)
     mu_h = ratio ** 2 * mu / (1.0 + ratio ** 2)
-
-    # state tensor axes: (a_H, a_V, b_H, b_V)
-    psi = np.zeros((d, d, d, d))
-    psi[0, 0, 0, 0] = 1.0
-    psi = _apply_pair(_pair_source(mu_v, d), psi, (1, 3))
-    psi = _apply_pair(_pair_source(mu_h, d), psi, (0, 2))
-    psi = psi.reshape(d * d, d * d)  # rows (a_H, a_V), columns (b_H, b_V)
+    n = np.arange(d)
+    c_h, c_v = (math.exp(-m / 2.0) * m ** (n / 2.0) / _fock_tables(d)["sqrt_fact"]
+                for m in (mu_h, mu_v))
+    ss = np.outer(np.outer(c_h, c_h), np.outer(c_v, c_v)).ravel()  # s_i s_i' at [(j, j'), (m, m')]
 
     # relative rotation sense between the parties is fixed by the reference
     # behavior: the V->H leakage must interfere destructively with the HH
     # pair amplitude at the (1,1) settings
-    one = np.eye(d * d)
-    loss_a, loss_b = _loss_adjoint(eta_a, d), _loss_adjoint(eta_b, d)
-    eff_a = [(f, one - f) for f in (_no_click_effect(t, loss_a, d) for t in angles.alice)]
-    eff_b = [(f, one - f) for f in (_no_click_effect(-t, loss_b, d) for t in angles.bob)]
-
-    p = np.empty((2, 2, 4))  # [y, x, a + 2b]
-    for x in range(2):
-        for y in range(2):
-            q = np.array([np.sum(psi * (ea @ psi @ eb))
-                          for eb in eff_b[y] for ea in eff_a[x]])
-            p[y, x] = q / q.sum()
-    return p.ravel()
+    thetas = (*angles.alice, *(-t for t in angles.bob))
+    # [outcome, party-setting A0 A1 B0 B1, (j, j', m, m')]
+    e = _effects(thetas, (eta_a, eta_a, eta_b, eta_b), d).reshape(2, 4, -1)
+    q = (e[:, :2] * ss).reshape(4, -1) @ e[:, 2:].reshape(4, -1).T  # [(a, x), (b, y)]
+    q = q.reshape(2, 2, 2, 2).transpose(3, 1, 2, 0)  # [y, x, b, a]
+    return (q / q.sum(axis=(2, 3), keepdims=True)).ravel()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,8 @@ def as_vector(v) -> np.ndarray:
     arr = np.array(v, dtype=float).reshape(-1)
     if arr.shape != (DIM,):
         raise ValueError(f"expected 16 components, got shape {np.shape(v)}")
-    if not np.all(np.isfinite(arr)):
+    # a finite sum has finite components (Python floats overflow without a warning)
+    if not math.isfinite(sum(arr.tolist())) and not np.isfinite(arr).all():
         raise ValueError("vector components must be finite")
     return arr
 
@@ -223,13 +225,13 @@ def bell_value(beta, p) -> float:
 def check_distribution(v, tol: float = ATOL_EXACT) -> np.ndarray:
     """Validate nonnegativity and per-block normalization; return the vector."""
     arr = as_vector(v)
-    if np.min(arr) < -tol:
-        raise ValueError(f"negative probability {np.min(arr):g}")
-    sums = arr.reshape(2, 2, 4).sum(axis=2).T  # [x, y]
-    off = np.argwhere(np.abs(sums - 1.0) > tol)  # in the order (0,0), (0,1), (1,0), (1,1)
-    if off.size:
-        x, y = off[0]
-        raise ValueError(f"block ({x},{y}) sums to {float(sums[x, y])}, expected 1")
+    cells = arr.tolist()
+    if min(cells) < -tol:
+        raise ValueError(f"negative probability {min(cells):g}")
+    for x, y, b in ((0, 0, 0), (0, 1, 8), (1, 0, 4), (1, 1, 12)):  # b = 4 (x + 2y)
+        total = 0.0 + cells[b] + cells[b + 1] + cells[b + 2] + cells[b + 3]  # numpy's order
+        if abs(total - 1.0) > tol:
+            raise ValueError(f"block ({x},{y}) sums to {total}, expected 1")
     return arr
 
 

@@ -75,9 +75,9 @@ def analytic_covariance(p, scheme: SamplingScheme) -> np.ndarray:
     n = np.array(scheme.block_counts(), dtype=float)[:, None, None]
     blocks = arr.reshape(4, 4)
     d = np.arange(4)
-    cov = np.zeros((4, 4, 4))  # per block: diag(p_b) - p_b p_b^T
-    cov[:, d, d] = blocks
-    cov -= blocks[:, :, None] * blocks[:, None, :]
+    # per block: diag(p_b) - p_b p_b^T; 0 - x, not -x, keeps +0.0 where a product is 0
+    cov = np.subtract(0.0, blocks[:, :, None] * blocks[:, None, :])
+    cov[:, d, d] += blocks
     sigma = np.zeros((4, 4, 4, 4))
     sigma[d, :, d, :] = cov / n
     return sigma.reshape(DIM, DIM)

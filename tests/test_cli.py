@@ -94,6 +94,20 @@ def test_model_spdc_flags(tmp_path):
     assert np.allclose(p, spdc_distribution(mu=2e-4, cutoff=3), atol=0)
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("spdc", "--mu", "nan"), "mu"),
+    (("spdc", "--ratio-r", "inf"), "ratio"),
+    (("nv", "--lambda", "nan"), "lam"),
+    (("nv", "--visibility=-inf"), "visibility"),
+])
+def test_model_rejects_non_finite_parameters(argv, name, tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run_cli("model", *argv, "--output", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{name} must be finite")
+    assert not out.exists()
+
+
 def test_optimize_artifacts(tmp_path):
     inp = tmp_path / "p1.json"
     inp.write_text(json.dumps(space.vector_to_json(nv_distribution())))

@@ -1,11 +1,16 @@
-"""Source hygiene: no unused imports in ``src/`` or ``tests/``.
+"""Source hygiene: no unused imports in ``src/`` or ``tests/``, and no
+runtime dependency in ``src/`` beyond numpy.
 
 An AST scan in place of pyflakes' F401 check.  An import is used when its
 bound name occurs as a name anywhere in the module or is listed in
 ``__all__``; an import whose line carries ``# noqa: F401`` is exempt.
+A second scan lists the absolute imports of modules outside the standard
+library, numpy and bellopt: pyproject declares numpy as the only runtime
+dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,4 +63,50 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in files
              for line, name in unused_imports(path.read_text())]
+    assert found == []
+
+
+#: top-level modules a ``src/`` module may import
+RUNTIME_MODULES = frozenset(sys.stdlib_module_names) | {"numpy", "bellopt"}
+
+
+def foreign_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of every absolute import in ``source`` whose top-level
+    module is not in ``RUNTIME_MODULES``; relative imports stay in the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules if m.split(".")[0] not in RUNTIME_MODULES]
+    return found
+
+
+def test_scan_flags_foreign_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, os.path\n"
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "from numpy.linalg import eigh\n"
+        "from bellopt.space import DIM\n"
+        "from . import space\n"
+        "from .sampling import Allocation\n"
+        "def f():\n"
+        "    import pandas, numba as nb\n"
+        "    from scipy import special\n"
+    )
+    assert foreign_imports(source) == [(4, "scipy.linalg"), (10, "pandas"), (10, "numba"),
+                                       (11, "scipy")]
+
+
+def test_src_imports_only_the_standard_library_and_numpy():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    found = [f"{path.relative_to(ROOT)}:{line}: {module}"
+             for path in files
+             for line, module in foreign_imports(path.read_text())]
     assert found == []

@@ -1,5 +1,6 @@
 """Quantum source models: spin-pair (NV) and photon-pair (SPDC) behaviors."""
 
+import functools
 import math
 
 import numpy as np
@@ -15,13 +16,10 @@ from bellopt.sources import (
     SPDC_RATIO,
     MeasurementAngles,
     ReadoutModel,
-    _apply_pair,
-    _loss_adjoint,
-    _lowering,
-    _mode_rotation,
-    _no_click_effect,
-    _pair_source,
-    _rotation_eigenbasis,
+    _effects,
+    _fock_tables,
+    _loss_adjoints,
+    _rotated_vacuum,
     nv_distribution,
     nv_symmetric_distribution,
     spdc_distribution,
@@ -228,7 +226,6 @@ def test_spdc_channel_loss_matches_kraus_branch_oracle():
     # parameters where losses matter
     import itertools
 
-    from bellopt.sources import _apply_pair, _mode_rotation, _pair_source
     from bellopt.space import DIM
 
     cutoff, mu, ratio, eta_a, eta_b = 3, 0.05, 0.5, 0.6, 0.8
@@ -296,19 +293,75 @@ def test_spdc_channel_loss_matches_kraus_branch_oracle():
     assert np.max(np.abs(p - oracle)) < 1e-12
 
 
-# oracle: the per-call eigendecomposition and the einsum Kraus contractions
-# the photon-pair model used before the eigenbasis cache and the loss-adjoint
-# matrix, kept verbatim
+# oracle: the photon-pair model's helpers before the closed form (pair-creation
+# operators on the d^4 state, the cached rotation eigenbasis and the
+# loss-adjoint matrix), copied verbatim, and the einsum Kraus contraction of the
+# no-click effect that preceded the loss-adjoint matrix, kept verbatim
 
 
-def _oracle_mode_rotation(theta: float, dim: int) -> np.ndarray:
-    """Two-mode polarization rotation U with U+ a_H U = cos a_H + sin a_V,
-    exp(theta G) from the eigendecomposition of the Hermitian -iG."""
+def _lowering(dim: int) -> np.ndarray:
+    a = np.zeros((dim, dim))
+    for n in range(1, dim):
+        a[n - 1, n] = math.sqrt(n)
+    return a
+
+
+def _pair_source(mu: float, dim: int) -> np.ndarray:
+    """Truncated pair-creation operator on a two-mode space:
+    exp(-mu/2) sum_n mu^(n/2)/n!^(3/2) (a+ b+)^n, Poissonian pair number."""
+    at = _lowering(dim).T
+    pair = np.kron(at, at)
+    out = np.zeros_like(pair)
+    term = np.eye(dim * dim)
+    for n in range(dim):
+        out += (mu ** (n / 2.0) / math.factorial(n) ** 1.5) * term
+        term = term @ pair
+    return math.exp(-mu / 2.0) * out
+
+
+@functools.lru_cache(maxsize=None)
+def _rotation_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of the Hermitian -iG, where
+    G = a_H+ a_V - a_H a_V+ generates the two-mode polarization rotation.
+    It depends on ``dim`` only: computed once per ``dim``, kept read-only."""
     a = _lowering(dim)
     at = a.T
     gen = np.kron(at, a) - np.kron(a, at)
     w, v = np.linalg.eigh(-1j * gen)
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
+
+
+def _mode_rotation(theta: float, dim: int) -> np.ndarray:
+    """Two-mode polarization rotation U with U+ a_H U = cos a_H + sin a_V,
+    exp(theta G) from the cached eigenbasis of -iG."""
+    w, v = _rotation_eigenbasis(dim)
     return ((v * np.exp(1j * theta * w)) @ v.conj().T).real
+
+
+def _apply_pair(op: np.ndarray, psi: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
+    d = psi.shape[0]
+    op4 = op.reshape(d, d, d, d)
+    out = np.tensordot(op4, psi, axes=([2, 3], list(axes)))
+    return np.moveaxis(out, [0, 1], list(axes))
+
+
+def _loss_adjoint(eta: float, dim: int) -> np.ndarray:
+    """The adjoint of a loss channel of transmission ``eta`` on one mode, as a
+    (dim^2, dim^2) matrix on the index pair (X, X') of an operator,
+    L[(k, m), (i, p)] = sum_h K_h[i, k] K_h[p, m], with the Kraus operators
+    K_h = (1-eta)^(h/2)/sqrt(h!) eta^(N/2) a^h.  K_h[i, k] vanishes unless
+    k = i + h, so each entry is a single product, exact in any order."""
+    a = _lowering(dim)
+    damp = np.diag(eta ** (np.arange(dim) / 2.0))
+    kraus, an = np.empty((dim, dim, dim)), np.eye(dim)
+    for n in range(dim):
+        kraus[n] = ((1.0 - eta) ** (n / 2.0) / math.sqrt(math.factorial(n))) * (damp @ an)
+        an = an @ a
+    kf = kraus.reshape(dim, dim * dim)  # rows h, columns (i, k)
+    loss = (kf.T @ kf).reshape(dim, dim, dim, dim)  # (i, k, p, m)
+    return loss.transpose(1, 3, 0, 2).reshape(dim * dim, dim * dim)
 
 
 def _oracle_no_click_effect(theta: float, eta: float, dim: int) -> np.ndarray:
@@ -322,7 +375,7 @@ def _oracle_no_click_effect(theta: float, eta: float, dim: int) -> np.ndarray:
     for n in range(dim):
         kraus[n] = ((1.0 - eta) ** (n / 2.0) / math.sqrt(math.factorial(n))) * (damp @ an)
         an = an @ a
-    u = _oracle_mode_rotation(theta, dim)
+    u = _mode_rotation(theta, dim)
     vacuum_h = np.zeros((dim, dim))
     vacuum_h[0, 0] = 1.0
     g = (u.T @ np.kron(vacuum_h, np.eye(dim)) @ u).reshape(dim, dim, dim, dim)
@@ -354,46 +407,170 @@ def _oracle_spdc_distribution(mu, ratio, eta_a, eta_b, angles, cutoff):
     return p.ravel()
 
 
+# independent reference: the same model in long double, with the rotation
+# exp(theta G) as a scaled-and-squared Taylor series, loss as explicit sums
+# over the Kraus operators of each mode, and the state built by the
+# pair-creation series on the d^4 vacuum
+
+LD = np.longdouble
+long_double = pytest.mark.skipif(np.finfo(LD).eps > 1e-18,
+                                 reason="long double is no wider than double here")
+
+
+def _ld_lowering(dim: int) -> np.ndarray:
+    a = np.zeros((dim, dim), dtype=LD)
+    for n in range(1, dim):
+        a[n - 1, n] = np.sqrt(LD(n))
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def _ld_vacuum_projector(theta: float, dim: int) -> np.ndarray:
+    """U^T (|0><0|_H x 1_V) U with U = exp(theta G) summed as a Taylor series
+    of exp(theta G / 2^k), then squared k times."""
+    a = _ld_lowering(dim)
+    x = LD(theta) * (np.kron(a.T, a) - np.kron(a, a.T))
+    k = max(0, math.ceil(math.log2(max(float(np.abs(x).sum(axis=1).max()), 1e-300) / 0.25)))
+    x /= LD(2) ** k
+    u, term = np.eye(dim * dim, dtype=LD), np.eye(dim * dim, dtype=LD)
+    for j in range(1, 30):
+        term = term @ x / LD(j)
+        u = u + term
+    for _ in range(k):
+        u = u @ u
+    vacuum_h = np.zeros((dim, dim), dtype=LD)
+    vacuum_h[0, 0] = 1
+    return u.T @ np.kron(vacuum_h, np.eye(dim, dtype=LD)) @ u
+
+
+def _ld_no_click_effect(theta: float, eta: float, dim: int) -> np.ndarray:
+    """sum over the Kraus operators K_h = (1-eta)^(h/2)/sqrt(h!) eta^(N/2) a^h
+    of each mode of (K x 1)^T G (K x 1), then of (1 x K)^T G (1 x K)."""
+    eta = LD(eta)
+    a, one = _ld_lowering(dim), np.eye(dim, dtype=LD)
+    damp = np.diag([np.sqrt(eta) ** n for n in range(dim)])
+    kraus, an = [], np.eye(dim, dtype=LD)
+    for h in range(dim):
+        kraus.append(np.sqrt(1 - eta) ** h / np.sqrt(LD(math.factorial(h))) * (damp @ an))
+        an = an @ a
+    g = _ld_vacuum_projector(theta, dim)
+    for lift in (lambda kh: np.kron(kh, one), lambda kv: np.kron(one, kv)):
+        g = sum(lift(k).T @ g @ lift(k) for k in kraus)
+    return g
+
+
+def _ld_spdc_distribution(mu, ratio, eta_a, eta_b, angles, cutoff) -> np.ndarray:
+    d = cutoff + 1
+    mu, ratio = LD(mu), LD(ratio)
+    at = _ld_lowering(d).T
+    psi = np.zeros((d, d, d, d), dtype=LD)  # (a_H, a_V, b_H, b_V)
+    psi[0, 0, 0, 0] = 1
+    for m, axes in ((mu / (1 + ratio ** 2), (1, 3)), (ratio ** 2 * mu / (1 + ratio ** 2), (0, 2))):
+        pair = np.kron(at, at).reshape(d, d, d, d)
+        out, term = np.zeros_like(psi), psi
+        for n in range(d):
+            out += np.exp(-m / 2) * m ** (LD(n) / 2) / LD(math.factorial(n)) ** LD(1.5) * term
+            term = np.tensordot(pair, term, axes=([2, 3], list(axes)))
+            term = np.moveaxis(term, [0, 1], list(axes))
+        psi = out
+    psi = psi.reshape(d * d, d * d)
+    one = np.eye(d * d, dtype=LD)
+    eff_a = [(f, one - f) for f in (_ld_no_click_effect(t, eta_a, d) for t in angles.alice)]
+    eff_b = [(f, one - f) for f in (_ld_no_click_effect(-t, eta_b, d) for t in angles.bob)]
+    p = np.empty((2, 2, 4), dtype=LD)
+    for x in range(2):
+        for y in range(2):
+            q = np.array([np.sum(psi * (ea @ psi @ eb.T))
+                          for eb in eff_b[y] for ea in eff_a[x]])
+            p[y, x] = q / q.sum()
+    return p.ravel()
+
+
+def _setups(cutoff: int, rng: np.random.Generator) -> list[tuple]:
+    """The reference setup plus three random ones."""
+    setups = [(SPDC_MU, SPDC_RATIO, SPDC_ETA_A, SPDC_ETA_B, spdc_reference_angles())]
+    for _ in range(3):
+        setups.append((SPDC_MU * rng.uniform(0.5, 1.5), rng.uniform(0.0, 1.5),
+                       rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0),
+                       MeasurementAngles(tuple(rng.uniform(-np.pi, np.pi, 2)),
+                                         tuple(rng.uniform(-np.pi, np.pi, 2)))))
+    return setups
+
+
+@long_double
+def test_rotated_vacuum_projector_matches_rotation():
+    # U^T (|0><0|_H x 1_V) U = R R^T with R[(j, N-j), N] the closed form,
+    # against the eigendecomposed rotation and the long-double series; the
+    # eigh-based projector is itself off by up to ~3e-15 at dims 6-8
+    thetas = (0.0, math.pi / 2, -math.pi / 2, *np.deg2rad(SPDC_ANGLES_DEG))
+    for dim in range(2, 9):
+        n = np.add.outer(np.arange(dim), np.arange(dim)).ravel()
+        low = n < dim
+        vacuum_h = np.zeros((dim, dim))
+        vacuum_h[0, 0] = 1.0
+        for theta in thetas:
+            r = _rotated_vacuum([theta], dim)[0].ravel()
+            R = np.zeros((dim * dim, dim))
+            R[low, n[low]] = r[low]
+            assert np.all(r[~low] == 0.0)
+            u = _mode_rotation(theta, dim)
+            assert np.max(np.abs(R @ R.T - u.T @ np.kron(vacuum_h, np.eye(dim)) @ u)) < 5e-15
+            assert np.max(np.abs(R @ R.T - _ld_vacuum_projector(theta, dim))) < 1e-15
+
+
+def test_loss_adjoint_closed_form_matches_kraus_product():
+    for dim in range(1, 9):
+        for eta in (0.0, 0.3, 0.5, 0.747, 0.9, 1.0):
+            assert np.max(np.abs(_loss_adjoints([eta], dim)[0] - _loss_adjoint(eta, dim))) < 1e-15
+    stacked = _loss_adjoints([0.3, 0.747, 0.3], 5)
+    assert np.array_equal(stacked[0], stacked[2])
+    assert np.array_equal(stacked[1], _loss_adjoints([0.747], 5)[0])
+
+
+@long_double
 def test_no_click_effect_matches_einsum_oracle():
+    # the closed-form effects are at least as close to the long-double
+    # reference as the einsum oracle's F and 1 - F, or within 1e-14
     thetas = (0.0, math.pi / 2, -math.pi / 2, *np.deg2rad(SPDC_ANGLES_DEG))
     for dim in range(2, 8):
+        one = np.eye(dim * dim)
         for eta in (0.0, 0.3, 0.747, 1.0):
-            loss = _loss_adjoint(eta, dim)
             for theta in thetas:
-                assert np.array_equal(_mode_rotation(theta, dim),
-                                      _oracle_mode_rotation(theta, dim))
-                assert np.array_equal(_no_click_effect(theta, loss, dim),
-                                      _oracle_no_click_effect(theta, eta, dim))
+                ref = _ld_no_click_effect(theta, eta, dim)
+                oracle = _oracle_no_click_effect(theta, eta, dim)
+                # the closed form's layout is [(H, H'), (V, V')]
+                new = [e[0].reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(one.shape)
+                       for e in _effects([theta], [eta], dim)]
+                for got, want, base in ((new[0], ref, oracle), (new[1], one - ref, one - oracle)):
+                    err = float(np.max(np.abs(got - want)))
+                    assert err <= max(float(np.max(np.abs(base - want))), 1e-14)
 
 
+@long_double
 def test_spdc_distribution_matches_einsum_oracle():
+    # relative error per cell against the long-double reference, on the
+    # reference setup and three random ones per cutoff
     rng = np.random.default_rng(8)
     for cutoff in range(1, 7):
-        setups = [(SPDC_MU, SPDC_RATIO, SPDC_ETA_A, SPDC_ETA_B, spdc_reference_angles())]
-        for _ in range(3):
-            setups.append((SPDC_MU * rng.uniform(0.5, 1.5), rng.uniform(0.0, 1.5),
-                           rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0),
-                           MeasurementAngles(tuple(rng.uniform(-np.pi, np.pi, 2)),
-                                             tuple(rng.uniform(-np.pi, np.pi, 2)))))
-        for mu, ratio, eta_a, eta_b, angles in setups:
-            p = spdc_distribution(mu, ratio, eta_a, eta_b, angles, cutoff)
-            assert np.array_equal(p, _oracle_spdc_distribution(mu, ratio, eta_a, eta_b,
-                                                               angles, cutoff))
+        for setup in _setups(cutoff, rng):
+            ref = _ld_spdc_distribution(*setup, cutoff)
+            err, oracle_err = (float(np.max(np.abs(model(*setup, cutoff) - ref) / ref))
+                               for model in (spdc_distribution, _oracle_spdc_distribution))
+            assert err <= max(oracle_err, 1e-14)
 
 
-def test_rotation_eigenbasis_is_cached_and_read_only():
-    _rotation_eigenbasis.cache_clear()
+def test_fock_tables_are_cached_and_read_only():
+    _fock_tables.cache_clear()
     for _ in range(3):
         for dim in (2, 3, 5):
-            for theta in (0.1, -0.4):
-                _mode_rotation(theta, dim)
-    info = _rotation_eigenbasis.cache_info()
+            _effects((0.1, -0.4), (0.7, 0.9), dim)
+    info = _fock_tables.cache_info()
     assert (info.misses, info.currsize) == (3, 3)
     for dim in (2, 3, 5):
-        w, v = _rotation_eigenbasis(dim)
-        assert not w.flags.writeable and not v.flags.writeable
+        tables = _fock_tables(dim)
+        assert tables and all(not t.flags.writeable for t in tables.values())
         with pytest.raises(ValueError):
-            v[0, 0] = 0.0
+            tables["others"][0, 0] = 1.0
 
 
 def test_spdc_parameter_validation():
@@ -405,6 +582,22 @@ def test_spdc_parameter_validation():
         spdc_distribution(ratio=-0.1)
     with pytest.raises(ValueError):
         spdc_distribution(cutoff=0)
+
+
+@pytest.mark.parametrize("name", ["mu", "ratio"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spdc_rejects_non_finite_parameters(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        spdc_distribution(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["lam", "visibility"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nv_rejects_non_finite_parameters(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        nv_distribution(**{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        two_qubit_state(**{"lam": 0.0, "visibility": 1.0, name: value})
 
 
 def test_spdc_angles_default():

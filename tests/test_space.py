@@ -1,6 +1,7 @@
 """Coefficient space: Q basis, projectors, decomposition, predicates."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +348,94 @@ def test_check_distribution_reports_a_negative_entry_first():
     with pytest.raises(ValueError) as exc:
         check_distribution(bad)
     assert str(exc.value) == "negative probability -0.1"
+
+
+# oracle: ``as_vector`` and ``check_distribution`` as they were before the
+# element-wise finiteness scan became conditional and the block sums moved to
+# Python floats, copied verbatim (renamed)
+
+
+def _oracle_as_vector(v) -> np.ndarray:
+    """Coerce to a finite float vector of length 16 (copy)."""
+    arr = np.array(v, dtype=float).reshape(-1)
+    if arr.shape != (DIM,):
+        raise ValueError(f"expected 16 components, got shape {np.shape(v)}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("vector components must be finite")
+    return arr
+
+
+def _oracle_check_distribution(v, tol: float = 1e-12) -> np.ndarray:
+    """Validate nonnegativity and per-block normalization; return the vector."""
+    arr = _oracle_as_vector(v)
+    if np.min(arr) < -tol:
+        raise ValueError(f"negative probability {np.min(arr):g}")
+    sums = arr.reshape(2, 2, 4).sum(axis=2).T  # [x, y]
+    off = np.argwhere(np.abs(sums - 1.0) > tol)  # in the order (0,0), (0,1), (1,0), (1,1)
+    if off.size:
+        x, y = off[0]
+        raise ValueError(f"block ({x},{y}) sums to {float(sums[x, y])}, expected 1")
+    return arr
+
+
+def _outcome(check, *args):
+    """The returned vector's bits, or the error message.  The oracle's numpy
+    sums warn on overflow; those warnings are silenced."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return check(*args).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+_SPECIALS = (0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 5e-324)
+
+
+@st.composite
+def _near_behaviors(draw):
+    """Normalized behaviors with cells moved by multiples of ``tol`` (some
+    blocks off by about ``tol``, some cells just below zero), then a few
+    cells replaced by special values."""
+    tol = draw(st.sampled_from((1e-12, 1e-9)))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=DIM, max_size=DIM)))
+    blocks = w.reshape(4, 4) + draw(st.sampled_from((0.0, 1e-3)))
+    sums = blocks.sum(axis=1, keepdims=True)
+    v = np.where(sums > 0.0, blocks / np.where(sums > 0.0, sums, 1.0), 0.25).ravel()
+    steps = (0.0, 0.0, 0.5, 0.999, 1.0, 1.001, -0.5, -0.999, -1.0, -1.001, -3.0)
+    v = v + tol * np.array(draw(st.lists(st.sampled_from(steps), min_size=DIM, max_size=DIM)))
+    for i in draw(st.lists(st.integers(0, DIM - 1), max_size=3)):
+        v[i] = draw(st.sampled_from(_SPECIALS + (-tol, -1.001 * tol, -2.0 * tol)))
+    return v, tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_behaviors())
+def test_check_distribution_agrees_with_the_numpy_oracle(case):
+    v, tol = case
+    assert _outcome(check_distribution, v, tol) == _outcome(_oracle_check_distribution, v, tol)
+    assert _outcome(as_vector, v) == _outcome(_oracle_as_vector, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIALS)), min_size=DIM, max_size=DIM),
+       st.sampled_from((1e-12, 1e-9)))
+def test_check_distribution_agrees_with_the_numpy_oracle_on_any_floats(cells, tol):
+    assert (_outcome(check_distribution, cells, tol)
+            == _outcome(_oracle_check_distribution, cells, tol))
+    assert _outcome(as_vector, cells) == _outcome(_oracle_as_vector, cells)
+
+
+def test_as_vector_scans_only_when_the_sum_is_not_finite():
+    # the sum of 16 x 1e308 overflows although every component is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(as_vector([1e308] * 16), np.full(DIM, 1e308))
+    for bad in ([1e308] * 15 + [float("inf")], [1.0] * 15 + [float("nan")],
+                [float("inf")] * 8 + [-float("inf")] * 8):
+        with pytest.raises(ValueError, match="must be finite"):
+            as_vector(bad)
+    with pytest.raises(ValueError, match="block \\(0,0\\) sums to inf"):
+        check_distribution([1e308] * 16)
 
 
 def test_json_round_trip(rng):
