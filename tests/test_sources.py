@@ -559,6 +559,18 @@ def test_spdc_distribution_matches_einsum_oracle():
             assert err <= max(oracle_err, 1e-14)
 
 
+@long_double
+def test_spdc_small_cells_keep_their_digits():
+    # a nearly pure |VV> source and a small analyzer angle: the click
+    # probability of the one-photon states is ~sin^2 of the angle, so 1 - F
+    # formed as a difference would leave ~6e-11 relative error on the
+    # smallest cell (5.4e-11); the parent assembly was off by 5e-10
+    setup = (3.7e-4, 0.005, 0.81, 0.61, MeasurementAngles((2.6, -2.48), (0.0073, 0.63)))
+    for cutoff in (2, 4, 6):
+        ref = _ld_spdc_distribution(*setup, cutoff)
+        assert float(np.max(np.abs(spdc_distribution(*setup, cutoff) - ref) / ref)) < 1e-13
+
+
 def test_fock_tables_are_cached_and_read_only():
     _fock_tables.cache_clear()
     for _ in range(3):
