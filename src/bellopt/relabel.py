@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import DIM, Subspace, projector, q_basis, vector_index
+from .space import DIM, _A, _B, _X, _Y, Subspace, projector, q_basis, vector_index
 
 _PERMS2 = ((0, 1), (1, 0))  # the two permutations of {0, 1}
 _OUTCOME_PERMS = tuple(itertools.product(_PERMS2, repeat=2))
@@ -42,8 +42,8 @@ class PartyRelabeling:
         if self.setting_perm not in _PERMS2 or self.outcome_perms not in _OUTCOME_PERMS:
             raise ValueError(f"not a relabeling of two settings and two outcomes: {self!r}")
 
-    def apply(self, a: int, x: int) -> tuple[int, int]:
-        return self.outcome_perms[x][a], self.setting_perm[x]
+    def apply(self, a, x):  # ints or index arrays
+        return np.asarray(self.outcome_perms)[x, a], np.asarray(self.setting_perm)[x]
 
     def compose(self, other: "PartyRelabeling") -> "PartyRelabeling":
         """self after other."""
@@ -69,7 +69,7 @@ class Relabeling:
     alice: PartyRelabeling = PartyRelabeling()
     bob: PartyRelabeling = PartyRelabeling()
 
-    def apply_labels(self, a: int, b: int, x: int, y: int) -> tuple[int, int, int, int]:
+    def apply_labels(self, a, b, x, y):
         new_a, new_x = self.alice.apply(a, x)
         new_b, new_y = self.bob.apply(b, y)
         if self.party_swap:
@@ -95,9 +95,7 @@ IDENTITY = Relabeling()
 @functools.lru_cache(maxsize=None)
 def permutation_of(g: Relabeling) -> np.ndarray:
     """Index permutation of the action: entry i of v lands at perm[i] in v^g."""
-    perm = np.empty(DIM, dtype=np.intp)
-    for a, b, x, y in itertools.product(range(2), repeat=4):
-        perm[vector_index(a, b, x, y)] = vector_index(*g.apply_labels(a, b, x, y))
+    perm = vector_index(*g.apply_labels(_A, _B, _X, _Y))
     perm.flags.writeable = False
     return perm
 

@@ -130,23 +130,16 @@ def nv_distribution(lam: float = NV_LAMBDA,
     The per-setting rotation acts in the X-Z plane; Bob's rotation runs in
     the mirrored sense, which together with the reference angles reproduces
     the published behavior (singlet-like correlators -cos(thA - thB)).
+    The effects are rotated into the Heisenberg picture, R_x^T Pi_a R_x, and
+    the 16 cells are one contraction of both effect stacks with rho.
     """
     readout = readout or ReadoutModel()
     angles = angles or MeasurementAngles(*NV_ANGLES)
-    rho = two_qubit_state(lam, visibility)
-    pia = readout.effects("A")
-    pib = readout.effects("B")
-    p = np.empty((2, 2, 2, 2))  # [y, x, b, a]
-    for x in range(2):
-        ra = _ry(angles.alice[x])
-        for y in range(2):
-            rb = _ry(-angles.bob[y])  # mirrored rotation sense on Bob's side
-            r = np.kron(ra, rb)
-            rotated = r @ rho @ r.T
-            for a in range(2):
-                for b in range(2):
-                    p[y, x, b, a] = np.trace(np.kron(pia[a], pib[b]) @ rotated)
-    return p.ravel()
+    rho = two_qubit_state(lam, visibility).reshape(2, 2, 2, 2)  # [i, k, j, l], A on i, j
+    # party-settings A0 A1 B0 B1, with the mirrored sense on Bob's side
+    r = np.stack([_ry(t) for t in (*angles.alice, *(-t for t in angles.bob))])[:, None]
+    e = r.transpose(0, 1, 3, 2) @ np.stack([readout.effects(party) for party in "AABB"]) @ r
+    return np.einsum("xaij,ybkl,jlik->yxba", e[:2], e[2:], rho).ravel()  # e: [x, a, i, j]
 
 
 def nv_symmetric_distribution() -> np.ndarray:
@@ -177,23 +170,23 @@ def _fock_tables(dim: int) -> dict[str, np.ndarray]:
     """Read-only tables of one party's (H, V) modes, each truncated at ``dim``
     photons, built once per ``dim``.  A party index (j, m) holds j H and m V
     photons, N = j + m; a one-mode loss keeps i of k photons.  ``vac_pairs``
-    and ``loss_pairs`` list the nonzero entries of r r^T (equal N < dim) and
-    of the loss adjoint (k - i = m - p) for ``_pair_products``."""
+    and ``loss_pairs`` list (row, column, position) of the nonzero entries of
+    r r^T (equal N < dim) and of the loss adjoint (k - i = m - p), in order."""
     n = range(dim)
     tot = np.add.outer(np.arange(dim), np.arange(dim)).ravel()
-    vac = [(j * dim + m, jj * dim + mm, ((j * dim + jj) * dim + m) * dim + mm)
-           for j in n for jj in n for m in n for mm in n if j + m == jj + mm < dim]
-    loss = [(k * dim + i, m * dim + p, ((k * dim + m) * dim + i) * dim + p)
-            for k in n for m in n for i in n for p in n if k - i == m - p >= 0]
+    g = np.indices((dim,) * 4).reshape(4, -1)  # entry [(g0, g2), (g1, g3)]: (j, j', m, m')
+    pairs = np.stack([g[0] * dim + g[2], g[1] * dim + g[3], np.arange(dim ** 4)])
+    vac = (g[0] + g[2] == g[1] + g[3]) & (g[0] + g[2] < dim)
+    loss = (g[0] - g[2] == g[1] - g[3]) & (g[0] >= g[2])  # g read as (k, m, i, p)
     tables = {
         "sqrt_fact": np.sqrt([float(math.factorial(k)) for k in n]),
         "vac_binom": np.sqrt([[math.comb(j + m, j) if j + m < dim else 0 for m in n] for j in n]),
-        "vac_pairs": np.array(vac).T,
+        "vac_pairs": pairs[:, vac],
         "others": (tot[:, None] == tot) - np.eye(dim * dim),  # equal N, other index
         "high_n": (tot >= dim).astype(float),  # N >= dim
         "binom": np.sqrt([[float(math.comb(k, i)) for i in n] for k in n]),
         "lost": np.maximum(np.subtract.outer(np.arange(dim), np.arange(dim)), 0),  # k - i
-        "loss_pairs": np.array(loss).T,
+        "loss_pairs": pairs[:, loss],
     }
     for table in tables.values():
         table.flags.writeable = False
@@ -289,9 +282,15 @@ def spdc_distribution(mu: float = SPDC_MU,
         raise ValueError("cutoff must be at least 1 photon")
     angles = angles or spdc_reference_angles()
 
+    try:
+        with np.errstate(over="raise"):
+            r2 = ratio ** 2
+    except (OverflowError, FloatingPointError):  # Python or numpy float
+        raise ValueError(f"ratio = {ratio} is too large: ratio**2 overflows") from None
+
     d = cutoff + 1
-    mu_v = mu / (1.0 + ratio ** 2)
-    mu_h = ratio ** 2 * mu / (1.0 + ratio ** 2)
+    mu_v = mu / (1.0 + r2)
+    mu_h = r2 * mu / (1.0 + r2)
     n = np.arange(d)
     c_h, c_v = (math.exp(-m / 2.0) * m ** (n / 2.0) / _fock_tables(d)["sqrt_fact"]
                 for m in (mu_h, mu_v))
@@ -305,4 +304,8 @@ def spdc_distribution(mu: float = SPDC_MU,
     e = _effects(thetas, (eta_a, eta_a, eta_b, eta_b), d).reshape(2, 4, -1)
     q = (e[:, :2] * ss).reshape(4, -1) @ e[:, 2:].reshape(4, -1).T  # [(a, x), (b, y)]
     q = q.reshape(2, 2, 2, 2).transpose(3, 1, 2, 0)  # [y, x, b, a]
-    return (q / q.sum(axis=(2, 3), keepdims=True)).ravel()
+    total = q.sum(axis=(2, 3), keepdims=True)
+    if not np.all(total > 0.0):  # every amplitude underflowed, or overflowed to nan
+        raise ValueError(f"mu = {mu} leaves no pair amplitude the model can represent at "
+                         f"cutoff {cutoff}: a setting block sums to {total.min():g}")
+    return (q / total).ravel()

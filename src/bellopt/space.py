@@ -38,17 +38,14 @@ def vector_index(a: int, b: int, x: int, y: int) -> int:
     return a + 2 * b + 4 * x + 8 * y
 
 
-#: cell labels "abxy" in index order: 0000, 1000, 0100, 1100, 0010, ...
-INDEX_LABELS = tuple(
-    f"{a}{b}{x}{y}"
-    for y in range(2) for x in range(2) for b in range(2) for a in range(2)
-)
-
 # per-cell outcome/setting values in index order, used to vectorize formulas
 _A = np.tile([0, 1], 8)
 _B = np.tile(np.repeat([0, 1], 2), 4)
 _X = np.tile(np.repeat([0, 1], 4), 2)
 _Y = np.repeat([0, 1], 8)
+
+#: cell labels "abxy" in index order: 0000, 1000, 0100, 1100, 0010, ...
+INDEX_LABELS = tuple(f"{a}{b}{x}{y}" for a, b, x, y in zip(_A, _B, _X, _Y))
 
 
 def as_vector(v) -> np.ndarray:

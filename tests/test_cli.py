@@ -108,6 +108,19 @@ def test_model_rejects_non_finite_parameters(argv, name, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("--mu", "2000"), "mu"),
+    (("--mu", "1400", "--cutoff", "6"), "mu"),
+    (("--ratio-r", "1e200"), "ratio"),
+])
+def test_model_spdc_rejects_parameters_it_cannot_compute(argv, name, tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run_cli("model", "spdc", *argv, "--output", str(out)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{name} = ")
+    assert not out.exists()
+
+
 def test_optimize_artifacts(tmp_path):
     inp = tmp_path / "p1.json"
     inp.write_text(json.dumps(space.vector_to_json(nv_distribution())))

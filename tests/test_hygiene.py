@@ -6,7 +6,9 @@ bound name occurs as a name anywhere in the module or is listed in
 ``__all__``; an import whose line carries ``# noqa: F401`` is exempt.
 A second scan lists the absolute imports of modules outside the standard
 library, numpy and bellopt: pyproject declares numpy as the only runtime
-dependency.
+dependency.  A third scan finds loops nested four deep, counting ``for``
+statements and comprehension generators along one chain: per-cell and
+per-Fock-index formulas in ``src/`` are index arrays or contractions.
 """
 
 import ast
@@ -109,4 +111,63 @@ def test_src_imports_only_the_standard_library_and_numpy():
     found = [f"{path.relative_to(ROOT)}:{line}: {module}"
              for path in files
              for line, module in foreign_imports(path.read_text())]
+    assert found == []
+
+
+#: loops nested this deep over indices are written as index arrays or contractions
+LOOP_DEPTH = 4
+
+
+def deep_loops(source: str) -> list[int]:
+    """Line of each ``for`` statement or comprehension that brings one chain
+    of nested loops to ``LOOP_DEPTH``; each comprehension generator counts as
+    one loop."""
+    found = []
+
+    def visit(node, depth):
+        inner = depth
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            inner += 1
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            inner += len(node.generators)
+        if depth < LOOP_DEPTH <= inner:
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner)
+
+    visit(ast.parse(source), 0)
+    return found
+
+
+def test_scan_flags_loops_nested_four_deep():
+    source = (
+        "for a in r:\n"
+        "    for b in r:\n"
+        "        for x in r:\n"
+        "            print([y for y in r])\n"
+        "            for y in r:\n"
+        "                for z in r:\n"
+        "                    pass\n"
+        "cells = [(a, b, x, y) for a in r for b in r for x in r for y in r if a]\n"
+        "group = {(s, g, h) for s in r for g in r for h in r}\n"
+        "for a in r:\n"
+        "    table = {g: [h for h in r] for g in r}\n"
+        "    for b in r:\n"
+        "        def f():\n"
+        "            return sum(x * y for x in r for y in r)\n"
+        "for a in r:\n"
+        "    pass\n"
+        "for b in r:\n"
+        "    for x in r:\n"
+        "        pass\n"
+    )
+    assert deep_loops(source) == [4, 5, 8, 14]
+
+
+def test_src_has_no_loops_nested_four_deep():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in files
+             for line in deep_loops(path.read_text())]
     assert found == []

@@ -150,6 +150,24 @@ def test_party_swap_action(rng):
         assert w[vector_index(b, a, y, x)] == v[vector_index(a, b, x, y)]
 
 
+def _loop_permutation_of(g: Relabeling) -> np.ndarray:
+    """Oracle: the per-cell loop permutation_of ran before it relabeled the
+    per-cell label arrays at once."""
+    perm = np.empty(DIM, dtype=np.intp)
+    for a, b, x, y in itertools.product(range(2), repeat=4):
+        perm[vector_index(a, b, x, y)] = vector_index(*g.apply_labels(a, b, x, y))
+    return perm
+
+
+def test_permutations_match_cell_loop():
+    for g in enumerate_group():
+        assert np.array_equal(permutation_of(g), _loop_permutation_of(g))
+        for party in (g.alice, g.bob):
+            for a, x in itertools.product(range(2), repeat=2):
+                # the tuple lookup apply made before it took index arrays
+                assert party.apply(a, x) == (party.outcome_perms[x][a], party.setting_perm[x])
+
+
 def test_act_preserves_norm_and_ones(rng):
     v = rng.normal(size=DIM)
     for g in enumerate_group():

@@ -2,13 +2,17 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bellopt.inequalities import catalog
 from bellopt.sources import (
+    NV_ANGLES,
     NV_EPSILON,
+    NV_LAMBDA,
+    NV_VISIBILITY,
     SPDC_ANGLES_DEG,
     SPDC_ETA_A,
     SPDC_ETA_B,
@@ -20,6 +24,7 @@ from bellopt.sources import (
     _fock_tables,
     _loss_adjoints,
     _rotated_vacuum,
+    _ry,
     nv_distribution,
     nv_symmetric_distribution,
     spdc_distribution,
@@ -163,6 +168,40 @@ def test_readout_symmetrization_gives_flip_symmetric_behavior():
                     assert p[vector_index(a, b, x, y)] == pytest.approx(
                         p[vector_index(1 - a, 1 - b, x, y)], abs=1e-12
                     )
+
+
+def _loop_nv_distribution(lam, visibility, readout, angles):
+    """Oracle: the per-cell loop nv_distribution used before its Heisenberg-
+    picture contraction, a kron and a trace per cell."""
+    rho = two_qubit_state(lam, visibility)
+    pia = readout.effects("A")
+    pib = readout.effects("B")
+    p = np.empty((2, 2, 2, 2))  # [y, x, b, a]
+    for x in range(2):
+        ra = _ry(angles.alice[x])
+        for y in range(2):
+            rb = _ry(-angles.bob[y])  # mirrored rotation sense on Bob's side
+            r = np.kron(ra, rb)
+            rotated = r @ rho @ r.T
+            for a in range(2):
+                for b in range(2):
+                    p[y, x, b, a] = np.trace(np.kron(pia[a], pib[b]) @ rotated)
+    return p.ravel()
+
+
+def test_nv_contraction_matches_cell_loop():
+    rng = np.random.default_rng(13)
+    setups = [(NV_LAMBDA, NV_VISIBILITY, ReadoutModel(), MeasurementAngles(*NV_ANGLES))]
+    for k in range(300):
+        lam = rng.uniform(0.0, 1.0)
+        fidelities = rng.uniform(0.0, 1.0, 4)
+        if k % 3 == 0:  # readouts at the ends of [0, 1]
+            fidelities = rng.choice([0.0, 1.0], 4)
+        setups.append((lam, (1.0 - lam) * rng.uniform(-1.0, 1.0), ReadoutModel(*fidelities),
+                       MeasurementAngles(tuple(rng.uniform(-4.0, 4.0, 2)),
+                                         tuple(rng.uniform(-4.0, 4.0, 2)))))
+    for setup in setups:
+        assert np.max(np.abs(nv_distribution(*setup) - _loop_nv_distribution(*setup))) <= 1e-15
 
 
 # --- photon-pair model -------------------------------------------------------
@@ -585,6 +624,25 @@ def test_fock_tables_are_cached_and_read_only():
             tables["others"][0, 0] = 1.0
 
 
+def _comprehension_pair_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: vac_pairs and loss_pairs as the comprehensions that listed them
+    before the index-array form."""
+    n = range(dim)
+    vac = [(j * dim + m, jj * dim + mm, ((j * dim + jj) * dim + m) * dim + mm)
+           for j in n for jj in n for m in n for mm in n if j + m == jj + mm < dim]
+    loss = [(k * dim + i, m * dim + p, ((k * dim + m) * dim + i) * dim + p)
+            for k in n for m in n for i in n for p in n if k - i == m - p >= 0]
+    return np.array(vac).T, np.array(loss).T
+
+
+def test_fock_pair_tables_match_comprehensions():
+    for dim in range(1, 10):
+        vac, loss = _comprehension_pair_tables(dim)
+        tables = _fock_tables(dim)
+        assert np.array_equal(tables["vac_pairs"], vac)
+        assert np.array_equal(tables["loss_pairs"], loss)
+
+
 def test_spdc_parameter_validation():
     with pytest.raises(ValueError):
         spdc_distribution(mu=-1e-4)
@@ -610,6 +668,27 @@ def test_nv_rejects_non_finite_parameters(name, value):
         nv_distribution(**{name: value})
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         two_qubit_state(**{"lam": 0.0, "visibility": 1.0, name: value})
+
+
+@pytest.mark.parametrize("mu", [1400.0, 2000.0, 1e300])
+def test_spdc_rejects_a_mean_pair_number_without_representable_amplitudes(mu):
+    # every truncated amplitude underflows (or overflows to nan), so each
+    # block would be 0/0
+    with pytest.raises(ValueError, match=rf"^mu = {re.escape(str(mu))} .* cutoff 4"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            spdc_distribution(mu=mu)
+
+
+@pytest.mark.parametrize("ratio", [1e200, np.float64(1e200)])
+def test_spdc_rejects_a_ratio_whose_square_overflows(ratio):
+    with pytest.raises(ValueError, match=r"^ratio = 1e\+200 .* overflows"):
+        spdc_distribution(ratio=ratio)
+
+
+def test_spdc_large_finite_parameters_still_compute():
+    for kwargs in ({"mu": 500.0}, {"ratio": 1e150}, {"mu": 0.5, "ratio": 1e154}):
+        p = spdc_distribution(**kwargs)
+        assert np.all(np.isfinite(p)) and np.min(p) >= 0.0
 
 
 def test_spdc_angles_default():
