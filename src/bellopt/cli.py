@@ -62,7 +62,7 @@ def cmd_decompose(args) -> int:
     d = space.decompose(v)
     report = {
         "components": {s.value: list(map(float, c)) for s, c in d.components.items()},
-        "norms": {s.value: float(np.linalg.norm(c)) for s, c in d.components.items()},
+        "norms": {s.value: n for s, n in d.norms().items()},
     }
     report["coarse_norms"] = {
         lbl.value: float(np.linalg.norm(d[lbl]))

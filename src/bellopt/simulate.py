@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequalities import BellInequality
+from .inequalities import BellInequality, sigma_ratio
 from .sampling import Allocation, SamplingScheme
 from .space import DIM, check_distribution
 
@@ -164,7 +164,7 @@ class EnsembleReport:
             sd = float(col.std(ddof=1)) if len(col) > 1 else 0.0
             entry = {"mean": mean, "sd": sd}
             if sd > 0.0:
-                entry["sigma_ratio"] = (mean - self.local_bounds[k]) / sd
+                entry["sigma_ratio"] = sigma_ratio(mean, self.local_bounds[k], sd)
             entries[name] = entry
         return {
             "runs": self.runs,

@@ -292,8 +292,9 @@ def spdc_distribution(mu: float = SPDC_MU,
     mu_v = mu / (1.0 + r2)
     mu_h = r2 * mu / (1.0 + r2)
     n = np.arange(d)
-    c_h, c_v = (math.exp(-m / 2.0) * m ** (n / 2.0) / _fock_tables(d)["sqrt_fact"]
-                for m in (mu_h, mu_v))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge mu is rejected below
+        c_h, c_v = (math.exp(-m / 2.0) * m ** (n / 2.0) / _fock_tables(d)["sqrt_fact"]
+                    for m in (mu_h, mu_v))
     ss = np.outer(np.outer(c_h, c_h), np.outer(c_v, c_v)).ravel()  # s_i s_i' at [(j, j'), (m, m')]
 
     # relative rotation sense between the parties is fixed by the reference

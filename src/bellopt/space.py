@@ -65,6 +65,14 @@ def block_indices(x: int, y: int) -> np.ndarray:
 
 
 _SIGNS = (1, -1)
+_SIGN_TUPLES = tuple(itertools.product(_SIGNS, repeat=4))
+
+#: the sign-character table, read-only: row r holds Q for _SIGN_TUPLES[r];
+#: _ROW maps a sign tuple to its row
+_Q = np.stack([float(i) ** _A * float(j) ** _B * float(k) ** _X * float(l) ** _Y
+               for i, j, k, l in _SIGN_TUPLES])
+_Q.flags.writeable = False
+_ROW = {s: r for r, s in enumerate(_SIGN_TUPLES)}
 
 
 def q_basis(i: int, j: int, k: int, l: int) -> np.ndarray:
@@ -72,9 +80,7 @@ def q_basis(i: int, j: int, k: int, l: int) -> np.ndarray:
     for s in (i, j, k, l):
         if s not in _SIGNS:
             raise ValueError(f"signs must be +1 or -1, got {(i, j, k, l)}")
-    return (
-        float(i) ** _A * float(j) ** _B * float(k) ** _X * float(l) ** _Y
-    )
+    return _Q[_ROW[i, j, k, l]].copy()
 
 
 def alpha_coefficients(v) -> dict[tuple[int, int, int, int], float]:
@@ -84,11 +90,7 @@ def alpha_coefficients(v) -> dict[tuple[int, int, int, int], float]:
     l^y v_{abxy}, keyed by the sign tuple, so that
     ``v == sum(alpha[s] * q_basis(*s) for s in alpha)``.
     """
-    arr = as_vector(v)
-    return {
-        s: float(q_basis(*s) @ arr) / DIM
-        for s in itertools.product(_SIGNS, repeat=4)
-    }
+    return dict(zip(_SIGN_TUPLES, (_Q @ as_vector(v) / DIM).tolist()))
 
 
 class Subspace(enum.Enum):
@@ -148,12 +150,18 @@ def subspace_dimension(s: Subspace) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def basis(s: Subspace) -> np.ndarray:
+    """Read-only, C-contiguous (16, dim) matrix whose orthonormal columns are
+    the subspace's Q vectors divided by 4."""
+    B = np.ascontiguousarray(_Q[[_ROW[sig] for sig in subspace_signs(s)]].T / 4.0)
+    B.flags.writeable = False
+    return B
+
+
+@functools.lru_cache(maxsize=None)
 def projector(s: Subspace) -> np.ndarray:
     """Orthogonal projector onto the subspace, (1/16) sum Q Q^T over its basis."""
-    P = np.zeros((DIM, DIM))
-    for sig in subspace_signs(s):
-        q = q_basis(*sig)
-        P += np.outer(q, q) / DIM
+    P = basis(s) @ basis(s).T
     P.flags.writeable = False
     return P
 
@@ -276,11 +284,8 @@ def correlator_pattern(x: int, y: int) -> np.ndarray:
     The correlation component of any vector is sum_xy correlator(v,x,y) *
     correlator_pattern(x,y).
     """
-    out = np.zeros(DIM)
-    for k in _SIGNS:
-        for l in _SIGNS:
-            out += (float(k) ** x) * (float(l) ** y) * q_basis(-1, -1, k, l)
-    return out / DIM
+    weights = [float(k) ** x * float(l) ** y for _, _, k, l in subspace_signs(Subspace.CORR)]
+    return basis(Subspace.CORR) @ weights / 4.0
 
 
 # --- JSON codec ----------------------------------------------------------

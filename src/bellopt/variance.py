@@ -24,7 +24,7 @@ import numpy as np
 from . import simulate
 from .inequalities import BellInequality, sigma_ratio  # noqa: F401  (re-exported)
 from .sampling import Allocation, SamplingScheme
-from .space import DIM, Subspace, check_distribution, projector, q_basis, subspace_signs
+from .space import DIM, Subspace, basis, check_distribution, projector
 
 
 #: asymmetry (SYM_TOL) and negative eigenvalues and quadratic forms (EIG_TOL)
@@ -111,14 +111,6 @@ def std_dev(beta, sigma) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _si_basis() -> np.ndarray:
-    """Orthonormal basis of the signaling subspace as a 16x4 matrix."""
-    B = np.stack([q_basis(*s) / 4.0 for s in subspace_signs(Subspace.SI)], axis=1)
-    B.flags.writeable = False
-    return B
-
-
-@functools.lru_cache(maxsize=None)
 def _pi_bar() -> np.ndarray:
     """Projector 1 - P_SI onto the non-signaling components."""
     P = np.eye(DIM) - projector(Subspace.SI)
@@ -141,7 +133,7 @@ def optimal_variant(beta: BellInequality, sigma) -> BellInequality:
     """
     S, scale = _checked_covariance(sigma)
     b_nos = _pi_bar() @ beta.coeffs
-    B = _si_basis()
+    B = basis(Subspace.SI)
     BtS = B.T @ S
     block = BtS @ B
     rhs = BtS @ b_nos

@@ -1,6 +1,10 @@
 """Command line: artifact generation, golden equivalence with the library."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,17 @@ def test_model_spdc_rejects_parameters_it_cannot_compute(argv, name, tmp_path, c
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and err["message"].startswith(f"{name} = ")
     assert not out.exists()
+
+
+def test_model_spdc_huge_mu_writes_only_the_json_error():
+    # a fresh process, so numpy warnings would reach stderr instead of pytest
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "bellopt.cli", "model", "spdc", "--mu", "1e300"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 2 and proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ValueError" and err["message"].startswith("mu = 1e+300 ")
 
 
 def test_optimize_artifacts(tmp_path):

@@ -8,7 +8,9 @@ A second scan lists the absolute imports of modules outside the standard
 library, numpy and bellopt: pyproject declares numpy as the only runtime
 dependency.  A third scan finds loops nested four deep, counting ``for``
 statements and comprehension generators along one chain: per-cell and
-per-Fock-index formulas in ``src/`` are index arrays or contractions.
+per-Fock-index formulas in ``src/`` are index arrays or contractions.  A
+fourth scan finds calls that build Q vectors outside ``space``, whose
+sign-character table every other module reads.
 """
 
 import ast
@@ -170,4 +172,57 @@ def test_src_has_no_loops_nested_four_deep():
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path in files
              for line in deep_loops(path.read_text())]
+    assert found == []
+
+
+#: the calls that build Q vectors from sign tuples
+Q_BUILDERS = frozenset({"q_basis", "subspace_signs"})
+
+
+def q_builder_calls(source: str, exempt: frozenset = frozenset()) -> list[int]:
+    """Lines with a call to a ``Q_BUILDERS`` function, by bare or attribute
+    name, outside the functions named in ``exempt``."""
+    found = set()
+
+    def visit(node, inside_exempt):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in exempt:
+            inside_exempt = True
+        if isinstance(node, ast.Call) and not inside_exempt:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in Q_BUILDERS:
+                found.add(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside_exempt)
+
+    visit(ast.parse(source), False)
+    return sorted(found)
+
+
+def test_scan_flags_q_vectors_built_outside_space():
+    source = (
+        "from .space import q_basis, subspace_signs\n"
+        "from . import space\n"
+        "B = np.stack([q_basis(*s) for s in subspace_signs(Subspace.SI)])\n"
+        "q = space.q_basis(1, 1, 1, 1)\n"
+        "builders = (q_basis, space.subspace_signs)\n"
+        "def spans_subspace(vecs, signs):\n"
+        "    return np.stack([q_basis(*s) for s in signs])\n"
+        "def helper():\n"
+        "    return [subspace_signs(b) for b in BLOCKS]\n"
+    )
+    assert q_builder_calls(source) == [3, 4, 7, 9]
+    assert q_builder_calls(source, frozenset({"spans_subspace"})) == [3, 4, 9]
+
+
+def test_only_space_builds_q_vectors():
+    # relabel.spans_subspace builds its own span on purpose: it is the oracle
+    # that verify_invariance is tested against
+    files = [path for path in sorted((ROOT / "src").rglob("*.py")) if path.name != "space.py"]
+    assert files
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in files
+             for line in q_builder_calls(
+                 path.read_text(),
+                 frozenset({"spans_subspace"}) if path.name == "relabel.py" else frozenset())]
     assert found == []

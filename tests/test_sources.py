@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -677,6 +678,13 @@ def test_spdc_rejects_a_mean_pair_number_without_representable_amplitudes(mu):
     with pytest.raises(ValueError, match=rf"^mu = {re.escape(str(mu))} .* cutoff 4"):
         with np.errstate(over="ignore", invalid="ignore"):
             spdc_distribution(mu=mu)
+
+
+def test_spdc_rejects_a_huge_mu_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^mu = 1e\+300 .* cutoff 4"):
+            spdc_distribution(mu=1e300)
 
 
 @pytest.mark.parametrize("ratio", [1e200, np.float64(1e200)])

@@ -1,6 +1,7 @@
 """Coefficient space: Q basis, projectors, decomposition, predicates."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -10,11 +11,17 @@ from hypothesis import strategies as st
 
 from bellopt import boxes
 from bellopt.space import (
+    _A,
+    _B,
+    _Q,
+    _X,
+    _Y,
     DIM,
     Subspace,
     FINE_SUBSPACES,
     alpha_coefficients,
     as_vector,
+    basis,
     bell_value,
     block_indices,
     check_distribution,
@@ -126,6 +133,114 @@ def test_alpha_round_trip_random_vectors(rng):
         alpha = alpha_coefficients(v)
         rebuilt = np.sum([alpha[s] * q_basis(*s) for s in alpha], axis=0)
         assert np.max(np.abs(rebuilt - v)) < 1e-12
+
+
+# --- the sign-character table against per-vector reference code ----------
+
+def _power_q_basis(i, j, k, l):
+    for s in (i, j, k, l):
+        if s not in SIGNS:
+            raise ValueError(f"signs must be +1 or -1, got {(i, j, k, l)}")
+    return (
+        float(i) ** _A * float(j) ** _B * float(k) ** _X * float(l) ** _Y
+    )
+
+
+def _loop_projector(s):
+    P = np.zeros((DIM, DIM))
+    for sig in subspace_signs(s):
+        q = _power_q_basis(*sig)
+        P += np.outer(q, q) / DIM
+    return P
+
+
+def _per_tuple_alpha(v):
+    arr = as_vector(v)
+    return {
+        s: float(_power_q_basis(*s) @ arr) / DIM
+        for s in itertools.product(SIGNS, repeat=4)
+    }
+
+
+def _loop_correlator_pattern(x, y):
+    out = np.zeros(DIM)
+    for k in SIGNS:
+        for l in SIGNS:
+            out += (float(k) ** x) * (float(l) ** y) * _power_q_basis(-1, -1, k, l)
+    return out / DIM
+
+
+def _stacked_si_basis():
+    return np.stack([_power_q_basis(*s) / 4.0 for s in subspace_signs(Subspace.SI)], axis=1)
+
+
+def _identical(a, b):
+    """Equal entry for entry, the sign of each zero included."""
+    return (np.shape(a) == np.shape(b) and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_q_table_rows_are_the_power_formula():
+    assert _Q.flags.writeable is False
+    for r, s in enumerate(ALL_SIGN_TUPLES):
+        assert _identical(_Q[r], _power_q_basis(*s))
+        assert _identical(q_basis(*s), _power_q_basis(*s))
+    assert np.array_equal(_Q @ _Q.T, 16.0 * np.eye(DIM))
+
+
+def test_mutating_a_q_vector_leaves_the_table_unchanged():
+    table = _Q.copy()
+    q = q_basis(-1, 1, -1, 1)
+    q[:] = 7.0
+    assert _identical(_Q, table)
+    assert _identical(q_basis(-1, 1, -1, 1), _power_q_basis(-1, 1, -1, 1))
+
+
+@pytest.mark.parametrize("signs", [(2, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, -2), (1.5, 1, 1, 1)])
+def test_q_basis_rejects_bad_signs_with_the_old_message(signs):
+    with pytest.raises(ValueError) as old:
+        _power_q_basis(*signs)
+    with pytest.raises(ValueError) as new:
+        q_basis(*signs)
+    assert str(new.value) == str(old.value) == f"signs must be +1 or -1, got {signs}"
+
+
+def test_basis_is_cached_read_only_and_c_contiguous():
+    for s in Subspace:
+        B = basis(s)
+        assert B is basis(s)
+        assert B.flags.writeable is False
+        assert B.flags.c_contiguous
+        assert B.shape == (DIM, subspace_dimension(s))
+        assert np.array_equal(B.T @ B, np.eye(subspace_dimension(s)))
+
+
+def test_projectors_and_si_basis_match_the_loop_construction():
+    for s in Subspace:
+        assert _identical(projector(s), _loop_projector(s))
+    assert _identical(basis(Subspace.SI), _stacked_si_basis())
+
+
+def test_correlator_patterns_match_the_loop_construction():
+    for x, y in itertools.product(range(2), repeat=2):
+        assert _identical(correlator_pattern(x, y), _loop_correlator_pattern(x, y))
+
+
+_EXTREME = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e306, -1e306])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e306, 1e306) | _EXTREME, min_size=16, max_size=16))
+def test_alpha_coefficients_match_per_tuple_dot_products(coeffs):
+    # each coefficient is a 16-term sum of +-v_i; two summation orders differ
+    # by at most 2 gamma_16 sum|v_i| before the division by 16, and the
+    # division can round a subnormal once more
+    new, old = alpha_coefficients(coeffs), _per_tuple_alpha(coeffs)
+    assert list(new) == list(old) == ALL_SIGN_TUPLES
+    u = 2.0 ** -53
+    bound = 2 * (16 * u / (1 - 16 * u)) * math.fsum(map(abs, coeffs)) / DIM + 2.0 ** -1074
+    for s in ALL_SIGN_TUPLES:
+        assert abs(new[s] - old[s]) <= bound
 
 
 def test_subspace_dimensions():

@@ -13,6 +13,7 @@ from bellopt.sources import nv_symmetric_distribution, spdc_distribution
 from bellopt.space import (
     DIM,
     Subspace,
+    basis,
     block_indices,
     check_distribution,
     projector,
@@ -21,7 +22,6 @@ from bellopt.space import (
 )
 from bellopt.variance import (
     _pi_bar,
-    _si_basis,
     analytic_covariance,
     check_covariance,
     mc_covariance,
@@ -137,11 +137,11 @@ def test_analytic_covariance_matches_ix_loop_oracle(rng):
 
 
 def test_optimizer_constants_are_cached_and_read_only():
-    for build in (_si_basis, _pi_bar):
+    for build in (lambda: basis(Subspace.SI), _pi_bar):
         assert build() is build()
         assert build().flags.writeable is False
     assert np.array_equal(_pi_bar(), np.eye(DIM) - PI_SI)
-    assert np.array_equal(_si_basis(), np.stack(
+    assert np.array_equal(basis(Subspace.SI), np.stack(
         [q_basis(*s) / 4.0 for s in subspace_signs(Subspace.SI)], axis=1))
 
 
