@@ -39,8 +39,9 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_vector(path: str) -> np.ndarray:
-    return space.vector_from_json(_load_json(path))
+def _load_behavior(path: str) -> np.ndarray:
+    v = space.vector_from_json(_load_json(path))
+    return space.check_distribution(v, tol=space.BEHAVIOR_TOL)
 
 
 def _scheme(args) -> SamplingScheme:
@@ -58,7 +59,7 @@ def _inequalities(args) -> list[BellInequality]:
 
 
 def cmd_decompose(args) -> int:
-    v = _load_vector(args.input)
+    v = space.vector_from_json(_load_json(args.input))
     d = space.decompose(v)
     report = {
         "components": {s.value: list(map(float, c)) for s, c in d.components.items()},
@@ -138,11 +139,10 @@ def cmd_model(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    p = space.check_distribution(_load_vector(args.input), tol=1e-9)
-    picks = (args.name or []) + (args.inequality or [])
-    if len(picks) != 1:
+    if len((args.name or []) + (args.inequality or [])) != 1:
         raise ValueError("optimize needs exactly one of --name or --inequality")
-    beta = catalog(args.name[0]) if args.name else inequality_from_json(_load_json(args.inequality[0]))
+    p = _load_behavior(args.input)
+    (beta,) = _inequalities(args)
     scheme = _scheme(args)
     if args.cov == "analytic":
         sigma = variance.analytic_covariance(p, scheme)
@@ -172,7 +172,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    p = space.check_distribution(_load_vector(args.input), tol=1e-9)
+    p = _load_behavior(args.input)
     betas = _inequalities(args)
     report = simulate.run_ensemble(p, betas, _scheme(args), runs=args.runs, seed=args.seed)
     summary = report.summary()

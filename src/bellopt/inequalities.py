@@ -142,12 +142,14 @@ def ns_equivalent(b1: BellInequality, b2: BellInequality, tol: float = 1e-9) -> 
     no uniform-normalization and no nonsignaling component.  (The two
     traceless normalization components never contribute on a normalized
     behavior, and the signaling components never contribute on a nonsignaling
-    one.)
+    one.)  ``tol`` is relative to the larger max|coeffs| of the two, so
+    rescaling both inputs by one factor leaves the verdict unchanged.
     """
-    if abs(b1.local_bound - b2.local_bound) > tol:
+    atol = tol * max(map(abs, b1.coeffs.tolist() + b2.coeffs.tolist()))
+    if abs(b1.local_bound - b2.local_bound) > atol:
         return False
     parts = space.projector_stack(_NS_VALUE_PARTS) @ (b1.coeffs - b2.coeffs)
-    return bool(np.max(np.abs(parts)) <= tol)
+    return bool(np.abs(parts).max() <= atol)
 
 
 def strip_normalization_fluff(b: BellInequality) -> BellInequality:

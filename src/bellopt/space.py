@@ -32,6 +32,10 @@ DIM = 16
 #: absolute tolerance for exact linear algebra on 16-dim vectors
 ATOL_EXACT = 1e-12
 
+#: absolute tolerance on an input behavior: cells down to -BEHAVIOR_TOL and
+#: block sums within BEHAVIOR_TOL of 1 are accepted as rounding
+BEHAVIOR_TOL = 1e-9
+
 
 def vector_index(a: int, b: int, x: int, y: int) -> int:
     """Position of the (a, b | x, y) cell in the 16-vector."""

@@ -11,20 +11,18 @@ over them yields the statistically optimal variant.
 
 Block view: block ``b = x + 2y`` is row ``b`` of ``p.reshape(4, 4)``, so the
 covariance, seen as ``(4, 4, 4, 4)`` with axes (block, cell, block, cell), is
-nonzero only on its four diagonal blocks ``[b, :, b, :]``.  The constant
-matrices of the optimizer are built once, on first use, and read-only.
+nonzero only on its four diagonal blocks ``[b, :, b, :]``.  The optimizer
+reads the signaling subspace from ``space.basis``.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from . import simulate
 from .inequalities import BellInequality, sigma_ratio  # noqa: F401  (re-exported)
 from .sampling import Allocation, SamplingScheme
-from .space import DIM, Subspace, basis, check_distribution, projector
+from .space import BEHAVIOR_TOL, DIM, Subspace, basis, check_distribution
 
 
 #: asymmetry (SYM_TOL) and negative eigenvalues and quadratic forms (EIG_TOL)
@@ -69,7 +67,7 @@ def analytic_covariance(p, scheme: SamplingScheme) -> np.ndarray:
     Cov(p_hat_ab, p_hat_a'b') = (delta p_ab - p_ab p_a'b') / n; blocks are
     independent, so all cross-block entries vanish.
     """
-    arr = check_distribution(p, tol=1e-9)
+    arr = check_distribution(p, tol=BEHAVIOR_TOL)
     if scheme.allocation is not Allocation.FIXED_EQUAL:
         raise ValueError("the analytic form needs deterministic per-block counts")
     n = np.array(scheme.block_counts(), dtype=float)[:, None, None]
@@ -110,14 +108,6 @@ def std_dev(beta, sigma) -> float:
     return float(np.sqrt(max(quad, 0.0)))
 
 
-@functools.lru_cache(maxsize=None)
-def _pi_bar() -> np.ndarray:
-    """Projector 1 - P_SI onto the non-signaling components."""
-    P = np.eye(DIM) - projector(Subspace.SI)
-    P.flags.writeable = False
-    return P
-
-
 def optimal_variant(beta: BellInequality, sigma) -> BellInequality:
     """The variant of ``beta`` whose estimate has minimal variance.
 
@@ -127,22 +117,19 @@ def optimal_variant(beta: BellInequality, sigma) -> BellInequality:
     variance, obtained by solving the stationarity condition
     Pi Sigma (beta_nos + beta_si) = 0 restricted to the signaling subspace.
     Singular directions (signaling noise the covariance never excites) are
-    handled by the Moore-Penrose pseudo-inverse, with singular values below
+    handled by the Moore-Penrose pseudo-inverse, with eigenvalues below
     ``RCOND`` times the largest dropped; the cutoff is applied inside the
     4-dimensional signaling block so it scales with the covariance itself.
     """
     S, scale = _checked_covariance(sigma)
-    b_nos = _pi_bar() @ beta.coeffs
     B = basis(Subspace.SI)
+    b_nos = beta.coeffs - B @ (B.T @ beta.coeffs)
     BtS = B.T @ S
-    block = BtS @ B
-    rhs = BtS @ b_nos
-    # anchor the cutoff to the full covariance scale: block directions that
-    # carry a vanishing share of the total variance are treated as exactly
-    # variance-free rather than inverted as numerical noise
-    u, svals, vt = np.linalg.svd(block)
-    cut = RCOND * max(float(svals[0]) if svals.size else 0.0, scale, 1e-300)
-    inv = np.where(svals > cut, 1.0 / np.where(svals > cut, svals, 1.0), 0.0)
-    si_coeffs = -(vt.T * inv) @ (u.T @ rhs)
+    # the signaling block is symmetric PSD; cut at the full covariance scale:
+    # block directions that carry a vanishing share of the total variance are
+    # treated as exactly variance-free rather than inverted as numerical noise
+    w, V = np.linalg.eigh(BtS @ B)
+    keep = w > RCOND * max(float(w[-1]), scale, 1e-300)
+    si_coeffs = -(V[:, keep] / w[keep]) @ (V[:, keep].T @ (BtS @ b_nos))
     name = f"{beta.name}*" if beta.name else "optimal-variant"
     return BellInequality(b_nos + B @ si_coeffs, beta.local_bound, name)

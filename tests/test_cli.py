@@ -195,6 +195,18 @@ def test_simulate_artifacts_and_determinism(tmp_path):
     assert summary["inequalities"]["CH"]["sd"] == pytest.approx(expected.sd("CH"))
 
 
+def test_simulate_rejects_a_repeated_name(tmp_path, capsys):
+    inp = tmp_path / "p.json"
+    inp.write_text(json.dumps(space.vector_to_json(boxes.uniform_box())))
+    hist = tmp_path / "hist.csv"
+    assert run_cli("simulate", "--input", str(inp), "--name", "CH", "--name", "CH",
+                   "--trials", "16", "--runs", "2", "--histogram-csv", str(hist)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not hist.exists()
+    err = json.loads(err)
+    assert err["error"] == "ValueError" and "'CH' is repeated" in err["message"]
+
+
 def test_json_output_is_canonical(tmp_path):
     out = tmp_path / "chsh.json"
     run_cli("catalog", "--name", "CHSH", "--output", str(out))

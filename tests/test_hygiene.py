@@ -10,7 +10,9 @@ dependency.  A third scan finds loops nested four deep, counting ``for``
 statements and comprehension generators along one chain: per-cell and
 per-Fock-index formulas in ``src/`` are index arrays or contractions.  A
 fourth scan finds calls that build Q vectors outside ``space``, whose
-sign-character table every other module reads.
+sign-character table every other module reads.  A fifth finds
+``check_distribution`` calls given a numeric literal as ``tol`` outside
+``space``, which holds the one behavior tolerance.
 """
 
 import ast
@@ -225,4 +227,50 @@ def test_only_space_builds_q_vectors():
              for line in q_builder_calls(
                  path.read_text(),
                  frozenset({"spans_subspace"}) if path.name == "relabel.py" else frozenset())]
+    assert found == []
+
+
+def _numeric_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def literal_tolerances(source: str) -> list[int]:
+    """Lines of ``check_distribution`` calls, by bare or attribute name, whose
+    ``tol`` (keyword or second positional argument) is a numeric literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        tols = [kw.value for kw in node.keywords if kw.arg == "tol"] + node.args[1:2]
+        if name == "check_distribution" and any(map(_numeric_literal, tols)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_scan_flags_literal_behavior_tolerances():
+    source = (
+        "from .space import BEHAVIOR_TOL, check_distribution\n"
+        "from . import space\n"
+        "a = check_distribution(p, tol=1e-9)\n"
+        "b = space.check_distribution(load(path), tol=1e-9)\n"
+        "c = check_distribution(p, 1e-12)\n"
+        "d = check_distribution(p, tol=BEHAVIOR_TOL)\n"
+        "e = space.check_distribution(p, tol=space.BEHAVIOR_TOL)\n"
+        "f = check_distribution(p)\n"
+        "g = is_distribution(p, tol=1e-9)\n"
+        "h = check_distribution(p, tol=-0)\n"
+    )
+    assert literal_tolerances(source) == [3, 4, 5, 10]
+
+
+def test_only_space_spells_out_a_behavior_tolerance():
+    files = [path for path in sorted((ROOT / "src").rglob("*.py")) if path.name != "space.py"]
+    assert files
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in files
+             for line in literal_tolerances(path.read_text())]
     assert found == []

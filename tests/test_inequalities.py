@@ -25,6 +25,8 @@ from bellopt.inequalities import (
     vector_to_display,
 )
 from bellopt.relabel import act, enumerate_group
+from bellopt.sampling import SamplingScheme
+from bellopt.sources import spdc_distribution
 from bellopt.space import (
     DIM,
     Subspace,
@@ -35,6 +37,7 @@ from bellopt.space import (
     q_basis,
     vector_index,
 )
+from bellopt.variance import analytic_covariance, optimal_variant
 
 
 def test_catalog_names():
@@ -195,7 +198,9 @@ def test_ns_equivalence_respects_si_changes_only(rng):
 
 
 def _ns_equivalent_by_components(b1, b2, tol=1e-9):
-    # the component-by-component comparison the single product replaced
+    # the component-by-component comparison the single product replaced, with
+    # tol relative to the larger max|coeffs| of the two
+    tol *= max(np.max(np.abs(b1.coeffs)), np.max(np.abs(b2.coeffs)))
     if abs(b1.local_bound - b2.local_bound) > tol:
         return False
     for s in _NS_VALUE_PARTS:
@@ -228,6 +233,45 @@ def test_ns_equivalent_matches_component_oracle(name, g, c, parts, log_size, see
         b2 = BellInequality(b2.coeffs, b1.local_bound)
     assert ns_equivalent(b1, b2) == _ns_equivalent_by_components(b1, b2)
     assert ns_equivalent(b2, b1) == _ns_equivalent_by_components(b2, b1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["CHSH", "CH", "EH", "OPT_REF"]),
+    g=st.integers(0, 127),
+    c=st.floats(-2.0, 2.0, allow_nan=False),
+    parts=st.lists(st.sampled_from(list(Subspace)[:8]), min_size=1, max_size=3),
+    log_size=st.floats(-12.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    same_bound=st.booleans(),
+    k=st.integers(-40, 40),
+)
+def test_ns_equivalent_verdict_is_scale_invariant(name, g, c, parts, log_size, seed,
+                                                  same_bound, k):
+    # the pairs of the oracle test; scaling both by a power of two is exact
+    base = catalog(name)
+    b1 = BellInequality(act(enumerate_group()[g], base.coeffs), base.local_bound, name)
+    b2 = shift(b1, c)
+    rng = np.random.default_rng(seed)
+    for s in parts:
+        b2 = BellInequality(b2.coeffs + 10.0**log_size * projector(s) @ rng.normal(size=DIM),
+                            b2.local_bound)
+    if same_bound:
+        b2 = BellInequality(b2.coeffs, b1.local_bound)
+    assert ns_equivalent(rescale(b1, 2.0**k), rescale(b2, 2.0**k)) == ns_equivalent(b1, b2)
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-6, 1.0, 1e6, 1e8, 1e10])
+def test_ns_equivalent_verdicts_hold_at_every_scale(scale):
+    sigma = analytic_covariance(spdc_distribution(), SamplingScheme(176_000_000))
+    for name in ("CHSH", "CH", "EH"):
+        beta = catalog(name)
+        star = optimal_variant(beta, sigma)
+        assert ns_equivalent(rescale(star, scale), rescale(beta, scale))
+    ch = catalog("CH")
+    bumped = ch.coeffs.copy()
+    bumped[vector_index(0, 0, 0, 0)] += 1.0
+    assert not ns_equivalent(rescale(ch, scale), rescale(BellInequality(bumped), scale))
 
 
 def test_ns_value_projector_stack_is_cached_and_read_only():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bellopt import boxes
-from bellopt.inequalities import catalog
+from bellopt.inequalities import BellInequality, catalog
 from bellopt.sampling import Allocation, SamplingScheme
 from bellopt.simulate import (
     CHUNK,
@@ -134,6 +134,19 @@ def test_run_ensemble_shares_counts_and_seed():
     assert a.mean("CHSH") == pytest.approx(a.mean("CH"),
                                            abs=4 * a.sd("CH") / np.sqrt(300))
     assert a.sd("CH") > 1.5 * a.sd("CHSH")
+
+
+def test_run_ensemble_rejects_repeated_names():
+    # reports, summaries and CSV columns are keyed by name
+    p = boxes.tsirelson_box()
+    unnamed = BellInequality(catalog("EH").coeffs)
+    for betas, name in (([catalog("CH"), catalog("CHSH"), catalog("CH")], "'CH'"),
+                        ([unnamed, BellInequality(catalog("CH").coeffs, 0.0, "beta0")],
+                         "'beta0'")):
+        with pytest.raises(ValueError, match=f"{name} is repeated"):
+            run_ensemble(p, betas, SamplingScheme(64), runs=10, seed=5)
+    rep = run_ensemble(p, [unnamed, unnamed], SamplingScheme(64), runs=10, seed=5)
+    assert rep.names == ("beta0", "beta1")
 
 
 def _reference_chunk(p, scheme, seed, c, k):

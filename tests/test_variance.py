@@ -1,5 +1,7 @@
 """Covariance estimation and the minimal-variance variant."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,14 @@ from bellopt.space import (
     basis,
     block_indices,
     check_distribution,
+    decompose,
     projector,
     q_basis,
     subspace_signs,
 )
 from bellopt.variance import (
-    _pi_bar,
+    RCOND,
+    _checked_covariance,
     analytic_covariance,
     check_covariance,
     mc_covariance,
@@ -137,10 +141,8 @@ def test_analytic_covariance_matches_ix_loop_oracle(rng):
 
 
 def test_optimizer_constants_are_cached_and_read_only():
-    for build in (lambda: basis(Subspace.SI), _pi_bar):
-        assert build() is build()
-        assert build().flags.writeable is False
-    assert np.array_equal(_pi_bar(), np.eye(DIM) - PI_SI)
+    assert basis(Subspace.SI) is basis(Subspace.SI)
+    assert basis(Subspace.SI).flags.writeable is False
     assert np.array_equal(basis(Subspace.SI), np.stack(
         [q_basis(*s) / 4.0 for s in subspace_signs(Subspace.SI)], axis=1))
 
@@ -419,3 +421,76 @@ def test_output_symmetric_setup_admits_symmetric_optimum(rng):
         bstar = optimal_variant(chsh, S)
         assert np.linalg.norm(PI_SI @ bstar.coeffs) < 1e-9
         assert std_dev(bstar, S) == pytest.approx(std_dev(chsh, S), rel=1e-9)
+
+
+# the parent's non-signaling projector and its SVD body of optimal_variant,
+# copied verbatim, kept as the oracle for the eigh factorization
+@functools.lru_cache(maxsize=None)
+def _pi_bar() -> np.ndarray:
+    """Projector 1 - P_SI onto the non-signaling components."""
+    P = np.eye(DIM) - projector(Subspace.SI)
+    P.flags.writeable = False
+    return P
+
+
+def _svd_optimal_variant(beta: BellInequality, sigma) -> BellInequality:
+    S, scale = _checked_covariance(sigma)
+    b_nos = _pi_bar() @ beta.coeffs
+    B = basis(Subspace.SI)
+    BtS = B.T @ S
+    block = BtS @ B
+    rhs = BtS @ b_nos
+    # anchor the cutoff to the full covariance scale: block directions that
+    # carry a vanishing share of the total variance are treated as exactly
+    # variance-free rather than inverted as numerical noise
+    u, svals, vt = np.linalg.svd(block)
+    cut = RCOND * max(float(svals[0]) if svals.size else 0.0, scale, 1e-300)
+    inv = np.where(svals > cut, 1.0 / np.where(svals > cut, svals, 1.0), 0.0)
+    si_coeffs = -(vt.T * inv) @ (u.T @ rhs)
+    name = f"{beta.name}*" if beta.name else "optimal-variant"
+    return BellInequality(b_nos + B @ si_coeffs, beta.local_bound, name)
+
+
+def _relabeled_catalog():
+    group = enumerate_group()
+    return [BellInequality(act(group[g], catalog(name).coeffs), 0.0, name)
+            for name in ("CHSH", "CH", "EH") for g in (0, 37, 101)]
+
+
+def _oracle_covariances(rng):
+    """Covariances of random, model and partly deterministic behaviors at
+    1e2-2e8 trials, a singular-block one, Monte-Carlo ones and the zero one."""
+    behaviors = [boxes.random_nonsignaling(rng) for _ in range(8)]
+    behaviors += [nv_symmetric_distribution(), spdc_distribution()]
+    # deterministic setting blocks: the signaling block has rank 3, then 2
+    for blocks in ([0, 1], [0, 1, 3]):
+        partial = rng.dirichlet(np.ones(4), size=4)
+        partial[blocks] = np.eye(4)[2]
+        behaviors.append(partial.ravel())
+    covs = [analytic_covariance(p, SamplingScheme(trials))
+            for p in behaviors for trials in (100, 245, 10**4, 10**6, 176_000_000, 2 * 10**8)]
+    A = PI_BAR @ rng.normal(size=(DIM, DIM)) + basis(Subspace.SI)[:, :2] @ rng.normal(size=(2, DIM))
+    covs.append(A @ A.T)
+    covs += [mc_covariance(behaviors[k], SamplingScheme(245), runs=300, seed=k) for k in (0, 8, 10)]
+    covs.append(np.zeros((DIM, DIM)))
+    return covs
+
+
+def test_optimal_variant_matches_svd_oracle(rng):
+    betas = _relabeled_catalog()
+    for S in _oracle_covariances(rng):
+        for beta in betas:
+            new, old = optimal_variant(beta, S), _svd_optimal_variant(beta, S)
+            assert np.max(np.abs(new.coeffs - old.coeffs)) <= 1e-14 * np.max(np.abs(old.coeffs))
+            assert (new.name, new.local_bound) == (old.name, old.local_bound)
+
+
+def test_optimal_variant_keeps_every_non_signaling_component(rng):
+    betas = _relabeled_catalog()
+    for S in _oracle_covariances(rng):
+        for beta in betas:
+            got = decompose(optimal_variant(beta, S).coeffs)
+            want = decompose(beta.coeffs)
+            for s in want.components:
+                if s not in (Subspace.SI_TO_A, Subspace.SI_TO_B):
+                    assert np.max(np.abs(got[s] - want[s])) <= 1e-15 * np.max(np.abs(beta.coeffs))
