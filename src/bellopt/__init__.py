@@ -8,7 +8,7 @@ runs of two reference quantum setups.
 
 from .inequalities import BellInequality, catalog, ns_equivalent, rescale, shift, sigma_ratio
 from .sampling import Allocation, SamplingScheme
-from .simulate import frequencies, run_ensemble, simulate_run
+from .simulate import frequencies, run_ensemble
 from .space import (
     Subspace,
     alpha_coefficients,
@@ -43,7 +43,6 @@ __all__ = [
     "run_ensemble",
     "shift",
     "sigma_ratio",
-    "simulate_run",
     "std_dev",
 ]
 

@@ -19,10 +19,9 @@ class SamplingScheme:
     allocation: Allocation = Allocation.FIXED_EQUAL
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError("need at least one trial")
-        if self.allocation is Allocation.FIXED_EQUAL and self.n_trials < 4:
-            raise ValueError("fixed-equal allocation needs at least 4 trials")
+        # fewer trials than setting blocks leave a block without an estimate
+        if self.n_trials < 4:
+            raise ValueError(f"a run needs at least 4 trials, got {self.n_trials}")
 
     def block_counts(self) -> tuple[int, int, int, int]:
         """Deterministic per-block trial counts N(xy) for fixed allocation,
@@ -30,7 +29,4 @@ class SamplingScheme:
         if self.allocation is not Allocation.FIXED_EQUAL:
             raise ValueError("block counts are deterministic only for fixed allocation")
         base, extra = divmod(self.n_trials, 4)
-        counts = tuple(base + (1 if k < extra else 0) for k in range(4))
-        if min(counts) == 0:
-            raise ValueError("a setting block received zero trials")
-        return counts
+        return tuple(base + (1 if k < extra else 0) for k in range(4))

@@ -29,27 +29,6 @@ from .space import BEHAVIOR_TOL, DIM, check_distribution
 CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class RunCounts:
-    """Event counts N(abxy) of one run."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.counts, dtype=np.int64)
-        if arr.shape != (DIM,) or np.min(arr) < 0:
-            raise ValueError("counts must be 16 nonnegative integers")
-        arr.flags.writeable = False
-        object.__setattr__(self, "counts", arr)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def block_total(self, x: int, y: int) -> int:
-        return int(self.counts.reshape(4, 4)[x + 2 * y].sum())
-
-
 def _block_totals(p: np.ndarray, scheme: SamplingScheme, rng: np.random.Generator,
                   k: int) -> np.ndarray:
     """Per-block trial counts N(xy) of k runs, shape (k, 4), block id x + 2y."""
@@ -73,21 +52,6 @@ def _cell_counts(p: np.ndarray, n_xy: np.ndarray, rng: np.random.Generator) -> n
     return counts
 
 
-def _clipped(p) -> np.ndarray:
-    # clip the tolerance-level negatives admitted by check_distribution;
-    # multinomial sampling requires exact nonnegativity
-    return np.clip(check_distribution(p, tol=BEHAVIOR_TOL), 0.0, None)
-
-
-def simulate_run(p, scheme: SamplingScheme, rng: np.random.Generator) -> RunCounts:
-    """One simulated run; deterministic given the generator state.
-
-    Nothing is rejected: under uniform-random allocation a block may be empty.
-    """
-    arr = _clipped(p)
-    return RunCounts(_cell_counts(arr, _block_totals(arr, scheme, rng, 1), rng)[0])
-
-
 def frequencies(counts) -> np.ndarray:
     """Per-block relative frequencies N(abxy) / N(xy) of one run, shape (16,),
     or of each of k runs, shape (k, 16).
@@ -95,7 +59,7 @@ def frequencies(counts) -> np.ndarray:
     The result is normalized by construction but generally signaling: the
     sampling noise has components in the signaling subspace.
     """
-    arr = np.asarray(getattr(counts, "counts", counts), dtype=np.int64)
+    arr = np.asarray(counts, dtype=np.int64)
     blocks = arr.reshape(arr.shape[:-1] + (4, 4))  # block b holds cells 4b ... 4b+3
     # four slice adds: on a (1024, 4, 4) chunk, numpy's reduction over the
     # length-4 axis costs ~7x as much
@@ -117,10 +81,11 @@ def frequencies_ensemble(p, scheme: SamplingScheme, runs: int,
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    if scheme.allocation is Allocation.UNIFORM_RANDOM and scheme.n_trials < 4:
-        # fewer trials than setting blocks: every draw would be rejected
-        raise ValueError("uniform-random allocation needs at least 4 trials per run")
-    arr = _clipped(p)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    # clip the tolerance-level negatives admitted by check_distribution;
+    # multinomial sampling requires exact nonnegativity
+    arr = np.clip(check_distribution(p, tol=BEHAVIOR_TOL), 0.0, None)
     out = np.empty((runs, DIM))
     rejections = 0
     for c, start in enumerate(range(0, runs, CHUNK)):
@@ -155,14 +120,14 @@ class EnsembleReport:
         return float(self.values[:, self.names.index(name)].mean())
 
     def sd(self, name: str) -> float:
-        return float(self.values[:, self.names.index(name)].std(ddof=1))
+        """Sample standard deviation; 0.0 for a single run."""
+        col = self.values[:, self.names.index(name)]
+        return float(col.std(ddof=1)) if len(col) > 1 else 0.0
 
     def summary(self) -> dict:
         entries = {}
         for k, name in enumerate(self.names):
-            col = self.values[:, k]
-            mean = float(col.mean())
-            sd = float(col.std(ddof=1)) if len(col) > 1 else 0.0
+            mean, sd = self.mean(name), self.sd(name)
             entry = {"mean": mean, "sd": sd}
             if sd > 0.0:
                 entry["sigma_ratio"] = sigma_ratio(mean, self.local_bounds[k], sd)
@@ -207,6 +172,8 @@ def run_ensemble(p, betas: list[BellInequality], scheme: SamplingScheme,
 def write_histogram_csv(report: EnsembleReport, path, bins: int = 80) -> None:
     """Shared-binning histogram of the per-run values, one count column per
     inequality: bin_left, bin_right, count_<name>, ..."""
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
     lo = float(report.values.min())
     hi = float(report.values.max())
     if lo == hi:

@@ -205,6 +205,8 @@ class Decomposition:
         return {s: float(np.linalg.norm(c)) for s, c in self.components.items()}
 
     def nonzero_labels(self, tol: float = 1e-9) -> tuple[Subspace, ...]:
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
         return tuple(s for s, n in self.norms().items() if n > tol)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import simulate
 from .inequalities import BellInequality, sigma_ratio  # noqa: F401  (re-exported)
-from .sampling import Allocation, SamplingScheme
+from .sampling import SamplingScheme
 from .space import BEHAVIOR_TOL, DIM, Subspace, basis, check_distribution
 
 
@@ -68,8 +68,6 @@ def analytic_covariance(p, scheme: SamplingScheme) -> np.ndarray:
     independent, so all cross-block entries vanish.
     """
     arr = check_distribution(p, tol=BEHAVIOR_TOL)
-    if scheme.allocation is not Allocation.FIXED_EQUAL:
-        raise ValueError("the analytic form needs deterministic per-block counts")
     n = np.array(scheme.block_counts(), dtype=float)[:, None, None]
     blocks = arr.reshape(4, 4)
     d = np.arange(4)

@@ -59,6 +59,19 @@ def test_decompose_reports_nonzero_components(tmp_path, capsys):
     assert "SI_to_B" in capsys.readouterr().out
 
 
+def test_decompose_rejects_a_bad_tolerance(tmp_path, capsys):
+    inp = tmp_path / "p.json"
+    inp.write_text(json.dumps(space.vector_to_json(boxes.setting_copy_box())))
+    out = tmp_path / "report.json"
+    for tol in ("nan", "-1", "inf"):
+        assert run_cli("decompose", "--input", str(inp), "--tolerance", tol,
+                       "--output", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "tol must be finite" in err["message"]
+
+
 def test_group_verify_report(tmp_path):
     out = tmp_path / "group.json"
     assert run_cli("group-verify", "--output", str(out)) == 0
@@ -234,6 +247,24 @@ def test_simulate_random_allocation_below_four_trials_fails(tmp_path, capsys):
                    "--trials", "3", "--runs", "2") == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and "at least 4 trials" in err["message"]
+
+
+def test_simulate_rejects_bad_bins_and_seed(tmp_path, capsys):
+    inp = tmp_path / "p.json"
+    inp.write_text(json.dumps(space.vector_to_json(boxes.uniform_box())))
+    hist = tmp_path / "hist.csv"
+    for flags, message in ((("--bins", "0"), "bins must be at least 1, got 0"),
+                           (("--bins", "-3"), "bins must be at least 1, got -3"),
+                           (("--seed", "-5"), "seed must be nonnegative, got -5")):
+        assert run_cli("simulate", "--input", str(inp), "--trials", "16", "--runs", "2",
+                       "--histogram-csv", str(hist), *flags) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": message}
+        assert not hist.exists()
+    assert run_cli("optimize", "--input", str(inp), "--name", "CH", "--trials", "16",
+                   "--cov", "mc", "--runs", "10", "--seed", "-5") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "seed must be nonnegative, got -5"}
 
 
 def test_optimize_rejects_ambiguous_inequality_choice(tmp_path, capsys):

@@ -12,7 +12,9 @@ per-Fock-index formulas in ``src/`` are index arrays or contractions.  A
 fourth scan finds calls that build Q vectors outside ``space``, whose
 sign-character table every other module reads.  A fifth finds
 ``check_distribution`` calls given a numeric literal as ``tol`` outside
-``space``, which holds the one behavior tolerance.
+``space``, which holds the one behavior tolerance.  A sixth finds calls that
+seed a generator or draw multinomial counts outside ``simulate``, whose
+chunked engine is the one sampler and owns the stream contract.
 """
 
 import ast
@@ -273,4 +275,44 @@ def test_only_space_spells_out_a_behavior_tolerance():
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path in files
              for line in literal_tolerances(path.read_text())]
+    assert found == []
+
+
+#: the calls that open a random stream or draw trial counts
+SAMPLER_CALLS = frozenset({"default_rng", "multinomial"})
+
+
+def sampler_calls(source: str) -> list[int]:
+    """Lines with a call to a ``SAMPLER_CALLS`` function, by bare or attribute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in SAMPLER_CALLS:
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_scan_flags_sampler_calls():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "rng = np.random.default_rng([seed, c])\n"
+        "counts = rng.multinomial(n, p)\n"
+        "gen = default_rng(0)\n"
+        "draw = rng.multinomial\n"
+        "x = np.random.multinomial(10, w, size=k)\n"
+        "y = rng.integers(5)\n"
+    )
+    assert sampler_calls(source) == [3, 4, 5, 7]
+
+
+def test_only_simulate_samples():
+    # a second sampler would draw outside the chunk/stream contract
+    files = [path for path in sorted((ROOT / "src").rglob("*.py")) if path.name != "simulate.py"]
+    assert files
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in files
+             for line in sampler_calls(path.read_text())]
     assert found == []

@@ -1,6 +1,7 @@
 """Finite-trial runs, frequency estimators, and ensembles."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,9 @@ from bellopt.inequalities import BellInequality, catalog
 from bellopt.sampling import Allocation, SamplingScheme
 from bellopt.simulate import (
     CHUNK,
-    RunCounts,
     frequencies,
     frequencies_ensemble,
     run_ensemble,
-    simulate_run,
     write_histogram_csv,
     write_values_csv,
 )
@@ -22,44 +21,30 @@ from bellopt.space import Subspace, block_indices, decompose, q_basis, vector_in
 from bellopt.variance import analytic_covariance, std_dev
 
 
-def test_run_counts_validation():
-    with pytest.raises(ValueError):
-        RunCounts(np.full(16, -1))
-    rc = RunCounts(np.arange(16))
-    assert rc.total == sum(range(16))
-    assert rc.block_total(0, 0) == 0 + 1 + 2 + 3
+def _vertex_frequencies(runs):
+    """Frequencies of ``runs`` runs of the local vertex (0, 0, 0, 0): every
+    trial of a block lands in its (a, b) = (0, 0) cell."""
+    f = np.zeros(16)
+    f[[vector_index(0, 0, x, y) for x in range(2) for y in range(2)]] = 1.0
+    return np.tile(f, (runs, 1))
 
 
-def test_simulate_run_deterministic_behavior(rng):
+@pytest.mark.parametrize("allocation", list(Allocation))
+def test_ensemble_of_a_deterministic_behavior(allocation):
     p = boxes.local_vertex(0, 0, 0, 0)
-    rc = simulate_run(p, SamplingScheme(100), rng)
-    for x in range(2):
-        for y in range(2):
-            n = rc.block_total(x, y)
-            assert rc.counts[vector_index(0, 0, x, y)] == n
-    assert rc.total == 100
+    runs = CHUNK + 3
+    freqs, _ = frequencies_ensemble(p, SamplingScheme(100, allocation), runs=runs, seed=6)
+    assert np.array_equal(freqs, _vertex_frequencies(runs))
 
 
-def test_simulate_run_fixed_allocation_counts(rng):
-    rc = simulate_run(boxes.uniform_box(), SamplingScheme(245), rng)
-    totals = [rc.block_total(x, y) for y in range(2) for x in range(2)]
-    assert sorted(totals, reverse=True) == [62, 61, 61, 61]
-
-
-def test_simulate_run_tolerates_rounding_level_negatives(rng):
+@pytest.mark.parametrize("allocation", list(Allocation))
+def test_ensemble_tolerates_rounding_level_negatives(allocation):
     # JSON round-trips can leave -1e-13 entries; they are admitted by the
     # distribution check and must not break the sampler
     p = boxes.local_vertex(0, 0, 0, 0).copy()
     p[vector_index(1, 1, 0, 0)] = -1e-13
-    rc = simulate_run(p, SamplingScheme(40), rng)
-    assert rc.total == 40
-
-
-def test_simulate_run_seed_repeatable():
-    p = boxes.tsirelson_box()
-    a = simulate_run(p, SamplingScheme(64), np.random.default_rng(9))
-    b = simulate_run(p, SamplingScheme(64), np.random.default_rng(9))
-    assert np.array_equal(a.counts, b.counts)
+    freqs, _ = frequencies_ensemble(p, SamplingScheme(40, allocation), runs=200, seed=1)
+    assert np.array_equal(freqs, _vertex_frequencies(200))
 
 
 def test_expected_counts_match_multinomial_mean():
@@ -220,11 +205,15 @@ def test_uniform_random_allocation_rejects_empty_blocks():
 
 def test_uniform_random_allocation_below_four_trials_raises():
     # four setting blocks cannot all be filled by fewer than four trials, so
-    # rejection sampling would never terminate
+    # rejection sampling would never terminate; the scheme itself refuses them
     for n in (1, 2, 3):
-        scheme = SamplingScheme(n, Allocation.UNIFORM_RANDOM)
         with pytest.raises(ValueError, match="at least 4 trials"):
-            frequencies_ensemble(boxes.uniform_box(), scheme, runs=1, seed=0)
+            SamplingScheme(n, Allocation.UNIFORM_RANDOM)
+
+
+def test_ensemble_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -5"):
+        frequencies_ensemble(boxes.uniform_box(), SamplingScheme(16), runs=2, seed=-5)
 
 
 def test_report_summary_recomputable():
@@ -237,6 +226,28 @@ def test_report_summary_recomputable():
     assert entry["sd"] == pytest.approx(col.std(ddof=1), abs=1e-12)
     assert entry["sigma_ratio"] == pytest.approx(entry["mean"] / entry["sd"], abs=1e-12)
     assert s["runs"] == 400 and s["seed"] == 8
+
+
+def test_one_run_has_zero_sd():
+    rep = run_ensemble(boxes.tsirelson_box(), [catalog("CHSH"), catalog("CH")],
+                       SamplingScheme(64), runs=1, seed=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = rep.summary()
+        for k, name in enumerate(rep.names):
+            entry = s["inequalities"][name]
+            assert entry == {"mean": rep.values[0, k], "sd": 0.0}
+            assert rep.mean(name) == entry["mean"] and rep.sd(name) == 0.0
+
+
+def test_histogram_rejects_fewer_than_one_bin(tmp_path):
+    rep = run_ensemble(boxes.tsirelson_box(), [catalog("CHSH")], SamplingScheme(64),
+                       runs=10, seed=4)
+    for bins in (0, -3):
+        path = tmp_path / f"hist{bins}.csv"
+        with pytest.raises(ValueError, match=f"bins must be at least 1, got {bins}"):
+            write_histogram_csv(rep, path, bins=bins)
+        assert not path.exists()
 
 
 def test_histogram_and_values_csv(tmp_path):

@@ -338,6 +338,16 @@ def test_decompose_zero_vector():
         assert np.array_equal(c, np.zeros(DIM))
 
 
+def test_nonzero_labels_tolerance():
+    d = decompose(boxes.setting_copy_box())
+    assert set(d.nonzero_labels()) == {Subspace.NO1, Subspace.SI_TO_B}
+    assert d.nonzero_labels(0.0) == d.nonzero_labels()  # the other norms are exactly 0
+    assert d.nonzero_labels(10.0) == ()
+    for tol in (float("nan"), float("inf"), -1.0, -1e-300):
+        with pytest.raises(ValueError, match=f"tol must be finite and nonnegative, got {tol!r}"):
+            d.nonzero_labels(tol)
+
+
 def test_setting_copy_box_is_pure_b_signaling():
     p = boxes.setting_copy_box()
     d = decompose(p)

@@ -48,7 +48,8 @@ def test_scheme_validation():
         SamplingScheme(0)
     with pytest.raises(ValueError):
         SamplingScheme(3, Allocation.FIXED_EQUAL)
-    assert SamplingScheme(3, Allocation.UNIFORM_RANDOM).n_trials == 3
+    with pytest.raises(ValueError, match="at least 4 trials"):
+        SamplingScheme(3, Allocation.UNIFORM_RANDOM)
     assert SamplingScheme(245).block_counts() == (62, 61, 61, 61)
     assert SamplingScheme(176_000_000).block_counts() == (44_000_000,) * 4
 
