@@ -45,8 +45,7 @@ def _load_behavior(path: str) -> np.ndarray:
 
 
 def _scheme(args) -> SamplingScheme:
-    alloc = Allocation.FIXED_EQUAL if args.allocation == "fixed" else Allocation.UNIFORM_RANDOM
-    return SamplingScheme(args.trials, alloc)
+    return SamplingScheme(args.trials, Allocation(args.allocation))
 
 
 def _inequalities(args) -> list[BellInequality]:
@@ -172,6 +171,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.histogram_csv and args.bins < 1:  # refuse before drawing the ensemble
+        raise ValueError(f"bins must be at least 1, got {args.bins}")
     p = _load_behavior(args.input)
     betas = _inequalities(args)
     report = simulate.run_ensemble(p, betas, _scheme(args), runs=args.runs, seed=args.seed)
@@ -243,27 +244,27 @@ def build_parser() -> argparse.ArgumentParser:
     spdc.add_argument("--output", help="write the behavior JSON here (default stdout)")
     spdc.set_defaults(func=cmd_model)
 
-    o = sub.add_parser("optimize", help="compute the minimal-variance variant of an inequality")
-    o.add_argument("--input", required=True, help="behavior JSON")
-    o.add_argument("--name", action="append", help="catalog inequality name")
-    o.add_argument("--inequality", action="append", help="inequality JSON file")
-    o.add_argument("--trials", type=int, required=True)
-    o.add_argument("--allocation", choices=("fixed", "random"), default="fixed")
+    # flags shared by optimize (one inequality) and simulate (one or more)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--input", required=True, help="behavior JSON")
+    shared.add_argument("--name", action="append",
+                        help="catalog inequality name (simulate: repeatable)")
+    shared.add_argument("--inequality", action="append",
+                        help="inequality JSON file (simulate: repeatable)")
+    shared.add_argument("--trials", type=int, required=True)
+    shared.add_argument("--allocation", choices=[a.value for a in Allocation], default="fixed")
+    shared.add_argument("--seed", type=int, default=0)
+
+    o = sub.add_parser("optimize", parents=[shared],
+                       help="compute the minimal-variance variant of an inequality")
     o.add_argument("--cov", choices=("analytic", "mc"), default="analytic")
     o.add_argument("--runs", type=int, default=2000, help="runs for --cov mc")
-    o.add_argument("--seed", type=int, default=0)
     o.add_argument("--output", help="write the optimal variant JSON here (default stdout)")
     o.add_argument("--report", help="write the sd/ratio report JSON here")
     o.set_defaults(func=cmd_optimize)
 
-    s = sub.add_parser("simulate", help="simulate finite-trial run ensembles")
-    s.add_argument("--input", required=True, help="behavior JSON")
-    s.add_argument("--name", action="append", help="catalog inequality name (repeatable)")
-    s.add_argument("--inequality", action="append", help="inequality JSON file (repeatable)")
-    s.add_argument("--trials", type=int, required=True)
+    s = sub.add_parser("simulate", parents=[shared], help="simulate finite-trial run ensembles")
     s.add_argument("--runs", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--allocation", choices=("fixed", "random"), default="fixed")
     s.add_argument("--bins", type=int, default=80)
     s.add_argument("--histogram-csv", help="write a shared-binning histogram CSV")
     s.add_argument("--values-csv", help="write raw per-run values CSV")

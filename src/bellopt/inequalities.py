@@ -36,9 +36,6 @@ class BellInequality:
     def value(self, p) -> float:
         return bell_value(self.coeffs, p)
 
-    def violation_bound_ratio(self, p, sd: float) -> float:
-        return sigma_ratio(self.value(p), self.local_bound, sd)
-
 
 def _display_to_vector(rows) -> np.ndarray:
     """Convert the 4x4 block-matrix layout (rows (x,a), columns (y,b)) to a vector.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 
@@ -19,6 +20,8 @@ class SamplingScheme:
     allocation: Allocation = Allocation.FIXED_EQUAL
 
     def __post_init__(self):
+        if not isinstance(self.n_trials, numbers.Integral):  # int or numpy integer
+            raise ValueError(f"n_trials must be an integer, got {self.n_trials!r}")
         # fewer trials than setting blocks leave a block without an estimate
         if self.n_trials < 4:
             raise ValueError(f"a run needs at least 4 trials, got {self.n_trials}")

@@ -8,8 +8,9 @@ the simulated experiments.
 Reproducibility contract: runs are drawn in chunks of ``CHUNK``.  Chunk c
 covers runs c*CHUNK ... (c+1)*CHUNK - 1 and draws them all from the stream
 ``default_rng([seed, c])``: first the per-block trial counts N(xy) of every
-run (redrawing, under uniform-random allocation, the runs with an empty
-block), then the cell counts of each setting block for all runs at once.  An
+run, then the cell counts of each setting block for all runs at once.  Under
+uniform-random allocation the block totals are multinomial(N, 1/4 each),
+independent of the behavior, and the runs with an empty block are redrawn.  An
 ensemble is therefore a prefix of any longer ensemble with the same seed, up
 to its last whole chunk.
 """
@@ -29,15 +30,11 @@ from .space import BEHAVIOR_TOL, DIM, check_distribution
 CHUNK = 1024
 
 
-def _block_totals(p: np.ndarray, scheme: SamplingScheme, rng: np.random.Generator,
-                  k: int) -> np.ndarray:
+def _block_totals(scheme: SamplingScheme, rng: np.random.Generator, k: int) -> np.ndarray:
     """Per-block trial counts N(xy) of k runs, shape (k, 4), block id x + 2y."""
     if scheme.allocation is Allocation.FIXED_EQUAL:
         return np.broadcast_to(scheme.block_counts(), (k, 4))
-    # uniform random settings: each trial lands in block b with its share of
-    # the (clipped) probability mass, 1/4 for a normalized behavior
-    w = p.reshape(4, 4).sum(axis=1)
-    return rng.multinomial(scheme.n_trials, w / w.sum(), size=k)
+    return rng.multinomial(scheme.n_trials, [0.25] * 4, size=k)
 
 
 def _cell_counts(p: np.ndarray, n_xy: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -91,11 +88,11 @@ def frequencies_ensemble(p, scheme: SamplingScheme, runs: int,
     for c, start in enumerate(range(0, runs, CHUNK)):
         rng = np.random.default_rng([seed, c])
         k = min(CHUNK, runs - start)
-        n_xy = _block_totals(arr, scheme, rng, k)
+        n_xy = _block_totals(scheme, rng, k)
         empty = np.flatnonzero(np.min(n_xy, axis=1) == 0)
         while empty.size:
             rejections += empty.size
-            n_xy[empty] = _block_totals(arr, scheme, rng, empty.size)
+            n_xy[empty] = _block_totals(scheme, rng, empty.size)
             empty = empty[np.min(n_xy[empty], axis=1) == 0]
         out[start:start + k] = frequencies(_cell_counts(arr, n_xy, rng))
     return out, rejections

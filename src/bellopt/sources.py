@@ -282,11 +282,9 @@ def spdc_distribution(mu: float = SPDC_MU,
         raise ValueError("cutoff must be at least 1 photon")
     angles = angles or spdc_reference_angles()
 
-    try:
-        with np.errstate(over="raise"):
-            r2 = ratio ** 2
-    except (OverflowError, FloatingPointError):  # Python or numpy float
-        raise ValueError(f"ratio = {ratio} is too large: ratio**2 overflows") from None
+    r2 = float(ratio) * float(ratio)
+    if math.isinf(r2):
+        raise ValueError(f"ratio = {ratio} is too large: ratio**2 overflows")
 
     d = cutoff + 1
     mu_v = mu / (1.0 + r2)

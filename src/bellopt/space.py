@@ -149,10 +149,6 @@ def subspace_signs(s: Subspace) -> tuple[tuple[int, int, int, int], ...]:
     )
 
 
-def subspace_dimension(s: Subspace) -> int:
-    return len(subspace_signs(s))
-
-
 @functools.lru_cache(maxsize=None)
 def basis(s: Subspace) -> np.ndarray:
     """Read-only, C-contiguous (16, dim) matrix whose orthonormal columns are
@@ -185,18 +181,6 @@ class Decomposition:
         if s in self.components:
             return self.components[s]
         return np.sum([self.components[p] for p in _COARSE_PARTS[s]], axis=0)
-
-    @property
-    def no(self) -> np.ndarray:
-        return self[Subspace.NO]
-
-    @property
-    def ns(self) -> np.ndarray:
-        return self[Subspace.NS]
-
-    @property
-    def si(self) -> np.ndarray:
-        return self[Subspace.SI]
 
     def recompose(self) -> np.ndarray:
         return np.sum(list(self.components.values()), axis=0)

@@ -258,8 +258,9 @@ def test_simulate_rejects_bad_bins_and_seed(tmp_path, capsys):
                            (("--seed", "-5"), "seed must be nonnegative, got -5")):
         assert run_cli("simulate", "--input", str(inp), "--trials", "16", "--runs", "2",
                        "--histogram-csv", str(hist), *flags) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ValueError", "message": message}
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before any run is drawn
+        assert json.loads(captured.err) == {"error": "ValueError", "message": message}
         assert not hist.exists()
     assert run_cli("optimize", "--input", str(inp), "--name", "CH", "--trials", "16",
                    "--cov", "mc", "--runs", "10", "--seed", "-5") == 2

@@ -128,7 +128,7 @@ def test_quantum_maximum_over_correlator_scan():
 def test_chsh_has_no_marginal_or_signaling_parts():
     d = decompose(catalog("CHSH").coeffs)
     assert np.linalg.norm(d[Subspace.MARG]) < 1e-12
-    assert np.linalg.norm(d.si) < 1e-12
+    assert np.linalg.norm(d[Subspace.SI]) < 1e-12
 
 
 def test_ch_and_eh_have_signaling_parts():
@@ -335,12 +335,6 @@ def test_inequality_validation():
         BellInequality(np.full(DIM, np.inf))
     with pytest.raises(ValueError):
         BellInequality(np.zeros(DIM), local_bound=np.nan)
-
-
-def test_violation_bound_ratio_method():
-    chsh = catalog("CHSH")
-    p = boxes.tsirelson_box()
-    assert chsh.violation_bound_ratio(p, 0.2) == pytest.approx(chsh.value(p) / 0.2)
 
 
 def test_biased_box_validation():

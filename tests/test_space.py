@@ -36,7 +36,6 @@ from bellopt.space import (
     projector,
     projector_stack,
     q_basis,
-    subspace_dimension,
     subspace_signs,
     vector_from_json,
     vector_index,
@@ -211,8 +210,8 @@ def test_basis_is_cached_read_only_and_c_contiguous():
         assert B is basis(s)
         assert B.flags.writeable is False
         assert B.flags.c_contiguous
-        assert B.shape == (DIM, subspace_dimension(s))
-        assert np.array_equal(B.T @ B, np.eye(subspace_dimension(s)))
+        assert B.shape == (DIM, len(subspace_signs(s)))
+        assert np.array_equal(B.T @ B, np.eye(len(subspace_signs(s))))
 
 
 def test_projectors_and_si_basis_match_the_loop_construction():
@@ -251,7 +250,7 @@ def test_subspace_dimensions():
         Subspace.NO: 4, Subspace.MARG: 4, Subspace.NS: 8, Subspace.SI: 4,
     }
     for s, d in dims.items():
-        assert subspace_dimension(s) == d
+        assert len(subspace_signs(s)) == d
     fine = [sig for s in FINE_SUBSPACES for sig in subspace_signs(s)]
     assert sorted(fine) == sorted(ALL_SIGN_TUPLES)
 
@@ -329,7 +328,7 @@ def test_decompose_tsirelson_box():
     ) / (8.0 * np.sqrt(2.0))
     assert np.max(np.abs(d[Subspace.CORR] - expected_corr)) < 1e-12
     assert np.linalg.norm(d[Subspace.MARG]) < 1e-12
-    assert np.linalg.norm(d.si) < 1e-12
+    assert np.linalg.norm(d[Subspace.SI]) < 1e-12
 
 
 def test_decompose_zero_vector():
@@ -357,7 +356,7 @@ def test_setting_copy_box_is_pure_b_signaling():
 
 
 def test_pr_box_has_no_signaling_part():
-    assert np.linalg.norm(decompose(boxes.pr_box()).si) < 1e-12
+    assert np.linalg.norm(decompose(boxes.pr_box())[Subspace.SI]) < 1e-12
 
 
 def test_normalization_iff_no_conditions(rng):
@@ -378,7 +377,7 @@ def test_normalization_iff_no_conditions(rng):
         assert normalized == conditions
     # and constructively: project any vector to normalization
     v = rng.normal(size=DIM)
-    fixed = v - decompose(v).no + 0.25 * q_basis(1, 1, 1, 1)
+    fixed = v - decompose(v)[Subspace.NO] + 0.25 * q_basis(1, 1, 1, 1)
     for x in range(2):
         for y in range(2):
             assert abs(fixed[block_indices(x, y)].sum() - 1.0) < 1e-12
@@ -388,14 +387,14 @@ def test_nonsignaling_iff_si_component_vanishes(rng):
     # brute force over polytope vertices and signaling perturbations
     for v in boxes.nonsignaling_vertices():
         assert is_nonsignaling(v, tol=1e-12)
-        assert np.linalg.norm(decompose(v).si) < 1e-12
+        assert np.linalg.norm(decompose(v)[Subspace.SI]) < 1e-12
     for _ in range(50):
         p = boxes.random_nonsignaling(rng)
-        assert np.linalg.norm(decompose(p).si) < 1e-12
+        assert np.linalg.norm(decompose(p)[Subspace.SI]) < 1e-12
         sig = sum(rng.normal() * q_basis(*s) for s in subspace_signs(Subspace.SI))
         q = p + 1e-3 * sig / np.linalg.norm(sig)
         assert not is_nonsignaling(q, tol=1e-9)
-        assert np.linalg.norm(decompose(q).si) > 1e-9
+        assert np.linalg.norm(decompose(q)[Subspace.SI]) > 1e-9
 
 
 def test_block_views_match_cell_loops(rng):
@@ -433,7 +432,7 @@ def test_bell_value_splits_over_coarse_components(rng):
     beta = rng.normal(size=DIM)
     p = rng.normal(size=DIM)
     db, dp = decompose(beta), decompose(p)
-    split = db.no @ dp.no + db.ns @ dp.ns + db.si @ dp.si
+    split = sum(db[s] @ dp[s] for s in (Subspace.NO, Subspace.NS, Subspace.SI))
     assert bell_value(beta, p) == pytest.approx(split, abs=1e-12)
 
 

@@ -1,6 +1,7 @@
 """Covariance estimation and the minimal-variance variant."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ def test_scheme_validation():
         SamplingScheme(3, Allocation.UNIFORM_RANDOM)
     assert SamplingScheme(245).block_counts() == (62, 61, 61, 61)
     assert SamplingScheme(176_000_000).block_counts() == (44_000_000,) * 4
+
+
+def test_scheme_refuses_a_non_integral_trial_count():
+    # a float count would give float block counts that sum to another N
+    for n in (245.5, 245.0, np.float64(245.0)):
+        message = f"n_trials must be an integer, got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SamplingScheme(n)
+    assert SamplingScheme(np.int64(245)).block_counts() == (62, 61, 61, 61)
 
 
 def test_analytic_covariance_uniform():
