@@ -87,8 +87,11 @@ def nonsignaling_vertices() -> list[np.ndarray]:
     return local_vertices() + pr_box_vertices()
 
 
+#: the 24 nonsignaling vertices as the rows of one read-only table
+_NS_VERTICES = np.array(nonsignaling_vertices())
+_NS_VERTICES.flags.writeable = False
+
+
 def random_nonsignaling(rng: np.random.Generator) -> np.ndarray:
     """Random behavior in the nonsignaling polytope (convex mix of vertices)."""
-    verts = nonsignaling_vertices()
-    w = rng.dirichlet(np.ones(len(verts)))
-    return np.sum([wi * v for wi, v in zip(w, verts)], axis=0)
+    return rng.dirichlet(np.ones(len(_NS_VERTICES))) @ _NS_VERTICES

@@ -13,6 +13,9 @@ uniform-random allocation the block totals are multinomial(N, 1/4 each),
 independent of the behavior, and the runs with an empty block are redrawn.  An
 ensemble is therefore a prefix of any longer ensemble with the same seed, up
 to its last whole chunk.
+
+``counts_ensemble`` is the one sampler: it hands out the int64 cell counts,
+and its callers apply ``frequencies`` themselves.
 """
 
 from __future__ import annotations
@@ -37,18 +40,6 @@ def _block_totals(scheme: SamplingScheme, rng: np.random.Generator, k: int) -> n
     return rng.multinomial(scheme.n_trials, [0.25] * 4, size=k)
 
 
-def _cell_counts(p: np.ndarray, n_xy: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Cell counts N(abxy) of k runs with block totals ``n_xy``, shape (k, 16).
-
-    Block b holds cells 4b ... 4b+3, so each block is one multinomial draw
-    for all k runs.
-    """
-    counts = np.empty((n_xy.shape[0], DIM), dtype=np.int64)
-    for b, pb in enumerate(p.reshape(4, 4)):
-        counts[:, 4 * b:4 * b + 4] = rng.multinomial(n_xy[:, b], pb / pb.sum())
-    return counts
-
-
 def frequencies(counts) -> np.ndarray:
     """Per-block relative frequencies N(abxy) / N(xy) of one run, shape (16,),
     or of each of k runs, shape (k, 16).
@@ -66,10 +57,10 @@ def frequencies(counts) -> np.ndarray:
     return (blocks / n_xy).reshape(arr.shape)
 
 
-def frequencies_ensemble(p, scheme: SamplingScheme, runs: int,
-                         seed: int) -> tuple[np.ndarray, int]:
-    """Frequency estimators of ``runs`` independent runs, shape (runs, 16),
-    plus the total number of rejected draws.
+def counts_ensemble(p, scheme: SamplingScheme, runs: int,
+                    seed: int) -> tuple[np.ndarray, int]:
+    """Cell counts N(abxy) of ``runs`` independent runs, int64 of shape
+    (runs, 16), plus the total number of rejected draws.
 
     Uniform-random draws that leave a setting block empty are redrawn from the
     chunk's stream (the frequency estimator is undefined on them); each
@@ -83,7 +74,8 @@ def frequencies_ensemble(p, scheme: SamplingScheme, runs: int,
     # clip the tolerance-level negatives admitted by check_distribution;
     # multinomial sampling requires exact nonnegativity
     arr = np.clip(check_distribution(p, tol=BEHAVIOR_TOL), 0.0, None)
-    out = np.empty((runs, DIM))
+    shares = [pb / pb.sum() for pb in arr.reshape(4, 4)]  # block b: cells 4b ... 4b+3
+    out = np.empty((runs, DIM), dtype=np.int64)
     rejections = 0
     for c, start in enumerate(range(0, runs, CHUNK)):
         rng = np.random.default_rng([seed, c])
@@ -94,7 +86,8 @@ def frequencies_ensemble(p, scheme: SamplingScheme, runs: int,
             rejections += empty.size
             n_xy[empty] = _block_totals(scheme, rng, empty.size)
             empty = empty[np.min(n_xy[empty], axis=1) == 0]
-        out[start:start + k] = frequencies(_cell_counts(arr, n_xy, rng))
+        for b, pb in enumerate(shares):  # one multinomial draw per block for all k runs
+            out[start:start + k, 4 * b:4 * b + 4] = rng.multinomial(n_xy[:, b], pb)
     return out, rejections
 
 
@@ -131,9 +124,9 @@ class EnsembleReport:
             entries[name] = entry
         return {
             "runs": self.runs,
-            "trials": self.scheme.n_trials,
+            "trials": int(self.scheme.n_trials),
             "allocation": self.scheme.allocation.value,
-            "seed": self.seed,
+            "seed": int(self.seed),
             "rejected_draws": self.rejections,
             "inequalities": entries,
         }
@@ -153,7 +146,10 @@ def run_ensemble(p, betas: list[BellInequality], scheme: SamplingScheme,
     for k, name in enumerate(names):
         if name in names[:k]:  # reports and CSV columns are keyed by name
             raise ValueError(f"inequality name {name!r} is repeated")
-    freqs, rejections = frequencies_ensemble(p, scheme, runs, seed)
+    counts, rejections = counts_ensemble(p, scheme, runs, seed)
+    freqs = counts.view(float)  # chunk by chunk in place: one (runs, 16) array
+    for start in range(0, runs, CHUNK):
+        freqs[start:start + CHUNK] = frequencies(counts[start:start + CHUNK])
     coeff_matrix = np.stack([b.coeffs for b in betas], axis=1)
     values = freqs @ coeff_matrix
     return EnsembleReport(

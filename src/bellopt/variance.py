@@ -88,8 +88,8 @@ def mc_covariance(p, scheme: SamplingScheme, runs: int, seed: int) -> np.ndarray
     """
     if runs < 2:
         raise ValueError("need at least two runs for a sample covariance")
-    freqs, _ = simulate.frequencies_ensemble(p, scheme, runs, seed)
-    return np.cov(freqs, rowvar=False, ddof=1)
+    counts, _ = simulate.counts_ensemble(p, scheme, runs, seed)
+    return np.cov(simulate.frequencies(counts), rowvar=False, ddof=1)
 
 
 def std_dev(beta, sigma) -> float:

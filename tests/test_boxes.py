@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from bellopt import boxes
-from bellopt.space import DIM, vector_index
+from bellopt.space import DIM, is_distribution, is_nonsignaling, vector_index
 
 CELLS = list(itertools.product(range(2), repeat=4))  # (a, b, x, y)
 
@@ -39,3 +39,16 @@ def test_vertices_match_their_cell_formulas():
     for (al, be, ga), v in zip(itertools.product(range(2), repeat=3), boxes.pr_box_vertices()):
         assert np.array_equal(v, _from_cells(
             lambda a, b, x, y: 0.5 * (b == (a + x * y + al * x + be * y + ga) % 2)))
+
+
+def test_random_nonsignaling_mixes_the_vertex_table():
+    # one Dirichlet weight per vertex against the read-only (24, 16) table;
+    # the old per-call sum of weighted vertices agrees to rounding
+    table = boxes._NS_VERTICES
+    assert table.shape == (24, DIM) and not table.flags.writeable
+    assert np.array_equal(table, np.array(boxes.nonsignaling_vertices()))
+    for seed in range(20):
+        p = boxes.random_nonsignaling(np.random.default_rng(seed))
+        w = np.random.default_rng(seed).dirichlet(np.ones(24))
+        assert np.max(np.abs(p - np.sum([wi * v for wi, v in zip(w, table)], axis=0))) < 1e-15
+        assert is_distribution(p) and is_nonsignaling(p)

@@ -1,8 +1,8 @@
 """Golden artifacts of the README command chain.
 
 Every command of the README chain runs in process, sized down where the
-README runs long, and each artifact it writes is compared with
-``tests/golden/readme_chain.json``: integers, strings and counts exactly,
+README runs long, and each artifact it writes, and its stdout, is compared
+with ``tests/golden/readme_chain.json``: integers, strings and counts exactly,
 CSV files by sha256, and floats to ``RTOL`` relative to the largest float in
 the same top-level field of the artifact (so rounding noise next to O(1)
 entries is held to the field's scale, not to its own).  A rejected input is
@@ -66,13 +66,14 @@ CHAIN = (
 
 def run_chain(workdir: Path) -> dict:
     """Run ``CHAIN`` in ``workdir``; return every artifact keyed by file name,
-    plus each command's exit code and any JSON error it wrote."""
+    plus each command's exit code, its stdout and any JSON error it wrote."""
     (workdir / "unnormalized.json").write_text(json.dumps({"coeffs": UNNORMALIZED}))
     out = {"exit codes": {}}
     for name, argv, files in CHAIN:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        stdout, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
             out["exit codes"][name] = main([a.format(d=workdir) for a in argv])
+        out[f"{name}: stdout"] = {"text": stdout.getvalue()}
         if err.getvalue():
             out[f"{name}: stderr"] = json.loads(err.getvalue())
         for f in files:

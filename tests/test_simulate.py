@@ -1,6 +1,7 @@
 """Finite-trial runs, frequency estimators, and ensembles."""
 
 import csv
+import json
 import warnings
 
 import numpy as np
@@ -11,14 +12,23 @@ from bellopt.inequalities import BellInequality, catalog
 from bellopt.sampling import Allocation, SamplingScheme
 from bellopt.simulate import (
     CHUNK,
+    counts_ensemble,
     frequencies,
-    frequencies_ensemble,
     run_ensemble,
     write_histogram_csv,
     write_values_csv,
 )
-from bellopt.space import Subspace, block_indices, decompose, q_basis, vector_index
-from bellopt.variance import analytic_covariance, std_dev
+from bellopt.space import (
+    BEHAVIOR_TOL,
+    DIM,
+    Subspace,
+    block_indices,
+    check_distribution,
+    decompose,
+    q_basis,
+    vector_index,
+)
+from bellopt.variance import analytic_covariance, mc_covariance, std_dev
 
 
 def _vertex_frequencies(runs):
@@ -33,8 +43,8 @@ def _vertex_frequencies(runs):
 def test_ensemble_of_a_deterministic_behavior(allocation):
     p = boxes.local_vertex(0, 0, 0, 0)
     runs = CHUNK + 3
-    freqs, _ = frequencies_ensemble(p, SamplingScheme(100, allocation), runs=runs, seed=6)
-    assert np.array_equal(freqs, _vertex_frequencies(runs))
+    counts, _ = counts_ensemble(p, SamplingScheme(100, allocation), runs=runs, seed=6)
+    assert np.array_equal(frequencies(counts), _vertex_frequencies(runs))
 
 
 @pytest.mark.parametrize("allocation", list(Allocation))
@@ -43,8 +53,8 @@ def test_ensemble_tolerates_rounding_level_negatives(allocation):
     # distribution check and must not break the sampler
     p = boxes.local_vertex(0, 0, 0, 0).copy()
     p[vector_index(1, 1, 0, 0)] = -1e-13
-    freqs, _ = frequencies_ensemble(p, SamplingScheme(40, allocation), runs=200, seed=1)
-    assert np.array_equal(freqs, _vertex_frequencies(200))
+    counts, _ = counts_ensemble(p, SamplingScheme(40, allocation), runs=200, seed=1)
+    assert np.array_equal(frequencies(counts), _vertex_frequencies(200))
 
 
 def test_expected_counts_match_multinomial_mean():
@@ -52,8 +62,8 @@ def test_expected_counts_match_multinomial_mean():
     p = boxes.tsirelson_box()
     scheme = SamplingScheme(80)
     runs = 100_000
-    freqs, _ = frequencies_ensemble(p, scheme, runs=runs, seed=31)
-    mean_counts = freqs.mean(axis=0) * 20  # 20 trials per block
+    counts, _ = counts_ensemble(p, scheme, runs=runs, seed=31)
+    mean_counts = counts.mean(axis=0)  # 20 trials per block
     for x in range(2):
         for y in range(2):
             for a in range(2):
@@ -88,8 +98,8 @@ def test_frequencies_reject_empty_block():
 def test_frequency_estimator_no_component_is_constant(rng):
     p = boxes.random_nonsignaling(rng)
     for seed in range(10):
-        freqs, _ = frequencies_ensemble(p, SamplingScheme(52), runs=1, seed=seed)
-        d = decompose(freqs[0])
+        counts, _ = counts_ensemble(p, SamplingScheme(52), runs=1, seed=seed)
+        d = decompose(frequencies(counts[0]))
         assert np.max(np.abs(d[Subspace.NO1] - 0.25 * q_basis(1, 1, 1, 1))) < 1e-14
         assert np.linalg.norm(d[Subspace.NO2]) < 1e-14
         assert np.linalg.norm(d[Subspace.NO3]) < 1e-14
@@ -135,7 +145,7 @@ def test_run_ensemble_rejects_repeated_names():
 
 
 def _reference_chunk(p, scheme, seed, c, k):
-    """Frequencies of chunk ``c`` (k runs) and its rejections, with the chunk
+    """Cell counts of chunk ``c`` (k runs) and its rejections, with the chunk
     contract written out one numpy call at a time."""
     rng = np.random.default_rng([seed, c])
     p = np.clip(p, 0.0, None)
@@ -154,10 +164,10 @@ def _reference_chunk(p, scheme, seed, c, k):
             bad = n_xy.min(axis=1) == 0
         draws = [rng.multinomial(n_xy[:, b], p[idx] / p[idx].sum())
                  for b, idx in enumerate(blocks)]
-    freqs = np.empty((k, 16))
+    counts = np.empty((k, 16), dtype=np.int64)
     for b, idx in enumerate(blocks):
-        freqs[:, idx] = draws[b] / n_xy[:, b:b + 1]
-    return freqs, rejections
+        counts[:, idx] = draws[b]
+    return counts, rejections
 
 
 @pytest.mark.parametrize("seed, draw, scheme", [
@@ -176,11 +186,11 @@ def test_ensemble_rows_follow_the_chunk_contract(seed, draw, scheme):
     for _ in range(draw):
         p = boxes.random_nonsignaling(g)
     runs = 2 * CHUNK + 5
-    freqs, rejections = frequencies_ensemble(p, scheme, runs=runs, seed=99)
+    counts, rejections = counts_ensemble(p, scheme, runs=runs, seed=99)
     ref_rejections = 0
     for c, k in enumerate((CHUNK, CHUNK, 5)):
         ref, rej = _reference_chunk(p, scheme, 99, c, k)
-        assert np.array_equal(freqs[c * CHUNK:c * CHUNK + k], ref)
+        assert np.array_equal(counts[c * CHUNK:c * CHUNK + k], ref)
         ref_rejections += rej
     assert rejections == ref_rejections
 
@@ -190,21 +200,111 @@ def test_ensemble_of_whole_chunks_is_a_prefix(rng, allocation):
     p = boxes.random_nonsignaling(rng)
     scheme = SamplingScheme(64, allocation)
     for m in (1, 2):
-        short, _ = frequencies_ensemble(p, scheme, runs=m * CHUNK, seed=3)
-        long, _ = frequencies_ensemble(p, scheme, runs=(m + 1) * CHUNK, seed=3)
+        short, _ = counts_ensemble(p, scheme, runs=m * CHUNK, seed=3)
+        long, _ = counts_ensemble(p, scheme, runs=(m + 1) * CHUNK, seed=3)
         assert np.array_equal(short, long[:m * CHUNK])
+
+
+@pytest.mark.parametrize("allocation", list(Allocation))
+def test_counts_are_nonnegative_int64_with_the_drawn_block_totals(rng, allocation):
+    p = boxes.random_nonsignaling(rng)
+    scheme = SamplingScheme(245, allocation)
+    runs = CHUNK + 7
+    counts, rejections = counts_ensemble(p, scheme, runs=runs, seed=12)
+    assert counts.dtype == np.int64 and counts.shape == (runs, 16)
+    assert counts.min() >= 0
+    totals = counts.reshape(runs, 4, 4).sum(axis=2)  # block id x + 2y
+    if allocation is Allocation.FIXED_EQUAL:
+        assert np.array_equal(totals, np.tile(scheme.block_counts(), (runs, 1)))
+    else:  # each chunk's stream opens with its block totals
+        assert rejections == 0
+        drawn = [np.random.default_rng([12, c]).multinomial(245, [0.25] * 4, size=k)
+                 for c, k in enumerate((CHUNK, 7))]
+        assert np.array_equal(totals, np.concatenate(drawn))
+
+
+# The ensemble engine before it handed out counts, copied verbatim as an
+# oracle: run_ensemble and mc_covariance must reproduce its rows bit for bit.
+
+def _block_totals(scheme: SamplingScheme, rng: np.random.Generator, k: int) -> np.ndarray:
+    """Per-block trial counts N(xy) of k runs, shape (k, 4), block id x + 2y."""
+    if scheme.allocation is Allocation.FIXED_EQUAL:
+        return np.broadcast_to(scheme.block_counts(), (k, 4))
+    return rng.multinomial(scheme.n_trials, [0.25] * 4, size=k)
+
+
+def _cell_counts(p: np.ndarray, n_xy: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Cell counts N(abxy) of k runs with block totals ``n_xy``, shape (k, 16).
+
+    Block b holds cells 4b ... 4b+3, so each block is one multinomial draw
+    for all k runs.
+    """
+    counts = np.empty((n_xy.shape[0], DIM), dtype=np.int64)
+    for b, pb in enumerate(p.reshape(4, 4)):
+        counts[:, 4 * b:4 * b + 4] = rng.multinomial(n_xy[:, b], pb / pb.sum())
+    return counts
+
+
+def frequencies_ensemble(p, scheme: SamplingScheme, runs: int,
+                         seed: int) -> tuple[np.ndarray, int]:
+    """Frequency estimators of ``runs`` independent runs, shape (runs, 16),
+    plus the total number of rejected draws.
+
+    Uniform-random draws that leave a setting block empty are redrawn from the
+    chunk's stream (the frequency estimator is undefined on them); each
+    redrawn run counts one rejection.  At realistic trial counts rejections
+    are vanishingly rare.
+    """
+    if runs < 1:
+        raise ValueError("need at least one run")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    # clip the tolerance-level negatives admitted by check_distribution;
+    # multinomial sampling requires exact nonnegativity
+    arr = np.clip(check_distribution(p, tol=BEHAVIOR_TOL), 0.0, None)
+    out = np.empty((runs, DIM))
+    rejections = 0
+    for c, start in enumerate(range(0, runs, CHUNK)):
+        rng = np.random.default_rng([seed, c])
+        k = min(CHUNK, runs - start)
+        n_xy = _block_totals(scheme, rng, k)
+        empty = np.flatnonzero(np.min(n_xy, axis=1) == 0)
+        while empty.size:
+            rejections += empty.size
+            n_xy[empty] = _block_totals(scheme, rng, empty.size)
+            empty = empty[np.min(n_xy[empty], axis=1) == 0]
+        out[start:start + k] = frequencies(_cell_counts(arr, n_xy, rng))
+    return out, rejections
+
+
+@pytest.mark.parametrize("scheme", [
+    SamplingScheme(245),
+    SamplingScheme(48, Allocation.UNIFORM_RANDOM),
+    SamplingScheme(5, Allocation.UNIFORM_RANDOM),  # frequent rejections
+], ids=["fixed-245", "random-48", "random-5"])
+def test_counts_give_the_frequency_engine_rows_exactly(rng, scheme):
+    p = boxes.random_nonsignaling(rng)
+    betas = [catalog("CHSH"), catalog("CH"), catalog("EH")]
+    runs = 2 * CHUNK + 5
+    freqs, rejections = frequencies_ensemble(p, scheme, runs, seed=21)
+    rep = run_ensemble(p, betas, scheme, runs=runs, seed=21)
+    assert np.array_equal(rep.values, freqs @ np.stack([b.coeffs for b in betas], axis=1))
+    assert rep.rejections == rejections
+    assert np.array_equal(mc_covariance(p, scheme, runs=runs, seed=21),
+                          np.cov(freqs, rowvar=False, ddof=1))
 
 
 def test_uniform_random_allocation_rejects_empty_blocks():
     # tiny trial counts make empty setting blocks likely; they are redrawn
     p = boxes.uniform_box()
     scheme = SamplingScheme(5, Allocation.UNIFORM_RANDOM)
-    freqs, rejections = frequencies_ensemble(p, scheme, runs=300, seed=2)
+    counts, rejections = counts_ensemble(p, scheme, runs=300, seed=2)
     assert rejections > 0
-    for row in freqs:
+    for row in counts:
+        assert row.sum() == 5
         for x in range(2):
             for y in range(2):
-                assert row[block_indices(x, y)].sum() == pytest.approx(1.0, abs=1e-12)
+                assert row[block_indices(x, y)].sum() >= 1
 
 
 def test_uniform_random_allocation_below_four_trials_raises():
@@ -217,7 +317,7 @@ def test_uniform_random_allocation_below_four_trials_raises():
 
 def test_ensemble_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="seed must be nonnegative, got -5"):
-        frequencies_ensemble(boxes.uniform_box(), SamplingScheme(16), runs=2, seed=-5)
+        counts_ensemble(boxes.uniform_box(), SamplingScheme(16), runs=2, seed=-5)
 
 
 def test_report_summary_recomputable():
@@ -230,6 +330,14 @@ def test_report_summary_recomputable():
     assert entry["sd"] == pytest.approx(col.std(ddof=1), abs=1e-12)
     assert entry["sigma_ratio"] == pytest.approx(entry["mean"] / entry["sd"], abs=1e-12)
     assert s["runs"] == 400 and s["seed"] == 8
+
+
+def test_summary_of_numpy_integer_inputs_is_json():
+    # library callers may pass numpy integers for the trial count and seed
+    rep = run_ensemble(boxes.tsirelson_box(), [catalog("CHSH")],
+                       SamplingScheme(np.int64(64)), runs=10, seed=np.int64(1))
+    s = json.loads(json.dumps(rep.summary()))
+    assert s["trials"] == 64 and s["seed"] == 1
 
 
 def test_one_run_has_zero_sd():
