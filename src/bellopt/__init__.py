@@ -8,7 +8,6 @@ runs of two reference quantum setups.
 
 from .inequalities import BellInequality, catalog, ns_equivalent, rescale, shift, sigma_ratio
 from .sampling import Allocation, SamplingScheme
-from .simulate import frequencies, run_ensemble
 from .space import (
     Subspace,
     alpha_coefficients,
@@ -19,7 +18,6 @@ from .space import (
     project,
     q_basis,
 )
-from .variance import analytic_covariance, mc_covariance, optimal_variant, std_dev
 
 __all__ = [
     "Allocation",
@@ -47,3 +45,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Load ``simulate`` or ``variance`` on first use of an export (PEP 562)."""
+    if name in ("frequencies", "run_ensemble"):
+        from . import simulate as module
+    elif name in ("analytic_covariance", "mc_covariance", "optimal_variant", "std_dev"):
+        from . import variance as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import relabel, simulate, sources, space, variance
+from . import sources, space
 from .inequalities import (
     BellInequality,
     catalog,
@@ -91,6 +91,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_group_verify(args) -> int:
+    from . import relabel
     elements = relabel.enumerate_group()
     blocks = relabel.invariance_report(elements)
     avg = relabel.averaging_projector(elements)
@@ -140,13 +141,14 @@ def cmd_model(args) -> int:
 def cmd_optimize(args) -> int:
     if len((args.name or []) + (args.inequality or [])) != 1:
         raise ValueError("optimize needs exactly one of --name or --inequality")
+    from . import variance
     p = _load_behavior(args.input)
     (beta,) = _inequalities(args)
     scheme = _scheme(args)
     if args.cov == "analytic":
         sigma = variance.analytic_covariance(p, scheme)
     else:
-        sigma = variance.mc_covariance(p, scheme, runs=args.runs, seed=args.seed)
+        sigma, rejections = variance.mc_covariance_draws(p, scheme, args.runs, args.seed)
     bstar = variance.optimal_variant(beta, sigma)
     sd_before = variance.std_dev(beta, sigma)
     sd_after = variance.std_dev(bstar, sigma)
@@ -161,6 +163,8 @@ def cmd_optimize(args) -> int:
         "sigma_ratio_before": variance.sigma_ratio(value, beta.local_bound, sd_before),
         "sigma_ratio_after": variance.sigma_ratio(value, bstar.local_bound, sd_after),
     }
+    if args.cov == "mc":
+        report["rejected_draws"] = rejections
     print(f"value = {value:.6g}")
     print(f"sd: {sd_before:.6g} -> {sd_after:.6g}")
     print(f"sigma ratio: {report['sigma_ratio_before']:.3f} -> {report['sigma_ratio_after']:.3f}")
@@ -173,6 +177,7 @@ def cmd_optimize(args) -> int:
 def cmd_simulate(args) -> int:
     if args.histogram_csv and args.bins < 1:  # refuse before drawing the ensemble
         raise ValueError(f"bins must be at least 1, got {args.bins}")
+    from . import simulate
     p = _load_behavior(args.input)
     betas = _inequalities(args)
     report = simulate.run_ensemble(p, betas, _scheme(args), runs=args.runs, seed=args.seed)

@@ -12,7 +12,6 @@ permutations: ``compose(g, h)`` applies ``h`` first, then ``g``.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 from dataclasses import dataclass
 
@@ -143,13 +142,29 @@ def _elements(elements) -> tuple:
     return enumerate_group() if elements is None else tuple(elements)
 
 
+def _compose_codes(g, k):
+    """Codes of ``g.compose(k)`` for broadcast code arrays.  An element's code is
+    its position in ``enumerate_group()``; its seven bits are the party swap,
+    then per party the setting flip and the outcome flips at settings 0 and 1.
+    As in ``Relabeling.compose``, a swap in ``k`` exchanges the party components
+    of ``g``, a setting flip in ``k`` exchanges that party's outcome flips in
+    ``g``, and then all flips compose by XOR."""
+    g = np.where(k & 0b1000000, g & 0b1000000 | (g & 0b111) << 3 | g >> 3 & 0b111, g)
+    read = ((k & 0b0100100) >> 2) * 0b11  # outcome bits of the parties whose setting k flips
+    exchanged = (g & 0b0001001) << 1 | (g & 0b0010010) >> 1
+    return (g & ~read | exchanged & read) ^ k
+
+
 @functools.lru_cache(maxsize=4)
 def _composition_table(elements: tuple) -> np.ndarray:
     """Entry (g, k) is the position of ``g.compose(k)`` in ``elements``, or -1
-    when the composite is not among them: one walk of the structured
-    composition that every group check reads."""
-    order = {g: i for i, g in enumerate(elements)}
-    table = np.array([[order.get(g.compose(k), -1) for k in elements] for g in elements])
+    when the composite is not among them: the encoded composition of every
+    pair at once, that every group check reads."""
+    code = {g: i for i, g in enumerate(enumerate_group())}
+    codes = np.array([code[g] for g in elements], dtype=np.int64)
+    position = np.full(len(code), -1)
+    position[codes] = np.arange(len(codes))
+    table = position[_compose_codes(codes[:, None], codes)]
     table.flags.writeable = False
     return table
 
@@ -207,8 +222,8 @@ def commutant_dimension(elements=None) -> int:
     label = np.arange(DIM * DIM)
     while True:
         nxt = np.minimum(label, label[images].min(axis=0))
-        if np.array_equal(nxt, label):
-            return len(np.unique(label))
+        if np.array_equal(nxt, label):  # an orbit's smallest pair alone keeps its own label
+            return int(np.count_nonzero(label == np.arange(DIM * DIM)))
         label = nxt
 
 
@@ -218,6 +233,7 @@ def cayley_checksum(elements=None) -> str:
     table = _composition_table(_elements(elements))
     if np.any(table < 0):
         raise ValueError("the elements are not closed under composition")
+    import hashlib  # only this check hashes: no other command pays for the import
     return hashlib.sha256(table.astype(">u2").tobytes()).hexdigest()
 
 

@@ -113,6 +113,7 @@ class Subspace(enum.Enum):
     MARG = "marg"
     NS = "NS"
     SI = "SI"
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash runs in Python
 
 
 FINE_SUBSPACES = (

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import simulate
 from .inequalities import BellInequality, sigma_ratio  # noqa: F401  (re-exported)
 from .sampling import SamplingScheme
 from .space import BEHAVIOR_TOL, DIM, Subspace, basis, check_distribution
@@ -86,10 +85,16 @@ def mc_covariance(p, scheme: SamplingScheme, runs: int, seed: int) -> np.ndarray
     ``simulate.CHUNK``, chunk c from the stream (seed, c).
     Degenerate samples produce the zero matrix.
     """
+    return mc_covariance_draws(p, scheme, runs, seed)[0]
+
+
+def mc_covariance_draws(p, scheme: SamplingScheme, runs: int, seed: int) -> tuple[np.ndarray, int]:
+    """``mc_covariance`` and the number of draws rejected for an empty block."""
+    from . import simulate  # only the Monte-Carlo covariance samples
     if runs < 2:
         raise ValueError("need at least two runs for a sample covariance")
-    counts, _ = simulate.counts_ensemble(p, scheme, runs, seed)
-    return np.cov(simulate.frequencies(counts), rowvar=False, ddof=1)
+    counts, rejections = simulate.counts_ensemble(p, scheme, runs, seed)
+    return np.cov(simulate.frequencies(counts), rowvar=False, ddof=1), rejections
 
 
 def std_dev(beta, sigma) -> float:

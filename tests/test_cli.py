@@ -12,8 +12,8 @@ import pytest
 from bellopt import boxes, relabel, space, variance
 from bellopt.cli import main
 from bellopt.inequalities import catalog, inequality_from_json
-from bellopt.sampling import SamplingScheme
-from bellopt.simulate import run_ensemble
+from bellopt.sampling import Allocation, SamplingScheme
+from bellopt.simulate import counts_ensemble, run_ensemble
 from bellopt.sources import nv_distribution, spdc_distribution
 
 
@@ -149,6 +149,50 @@ def test_model_spdc_huge_mu_writes_only_the_json_error():
     assert err["error"] == "ValueError" and err["message"].startswith("mu = 1e+300 ")
 
 
+#: a fresh process runs one command and prints which of the watched modules
+#: it loaded; stdlib modules are left out, because they vary across Pythons
+_LOADED = (
+    "import json, sys\n"
+    "from bellopt.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code] + sorted(m for m in sys.modules\n"
+    "                                 if m.startswith('bellopt.') or m == 'numpy.ma')))\n"
+)
+_NOT_RUN = {"bellopt.relabel", "bellopt.simulate", "bellopt.variance"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["group-verify", "--output", "group.json"], {"bellopt.simulate", "bellopt.variance"}),
+    (["catalog", "--name", "CH", "--output", "ch.json"], _NOT_RUN),
+    (["model", "nv", "--output", "p.json"], _NOT_RUN),
+    (["decompose", "--input", "p1.json", "--output", "report.json"], _NOT_RUN),
+    (["optimize", "--input", "p1.json", "--name", "CH", "--trials", "245",
+      "--output", "bstar.json"], {"bellopt.relabel", "bellopt.simulate"}),
+    (["simulate", "--input", "p1.json", "--trials", "245", "--runs", "20"],
+     {"bellopt.relabel", "bellopt.variance"}),
+], ids=["group-verify", "catalog", "model-nv", "decompose", "optimize", "simulate"])
+def test_commands_load_only_what_they_run(argv, absent, tmp_path):
+    (tmp_path / "p1.json").write_text(json.dumps(space.vector_to_json(nv_distribution())))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv], cwd=tmp_path, capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert "numpy.ma" not in loaded  # np.unique would import it
+    assert not absent & set(loaded)
+
+
+def test_package_exports_resolve_on_first_use():
+    import bellopt
+
+    assert all(getattr(bellopt, name) is not None for name in bellopt.__all__)
+    assert bellopt.run_ensemble is run_ensemble and bellopt.std_dev is variance.std_dev
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        bellopt.nope
+
+
 def test_optimize_artifacts(tmp_path):
     inp = tmp_path / "p1.json"
     inp.write_text(json.dumps(space.vector_to_json(nv_distribution())))
@@ -180,6 +224,21 @@ def test_optimize_mc_covariance_deterministic(tmp_path):
         ) == 0
         outs.append(out.read_text())
     assert outs[0] == outs[1]
+
+
+def test_optimize_mc_report_counts_rejected_draws(tmp_path):
+    inp = tmp_path / "p1.json"
+    inp.write_text(json.dumps(space.vector_to_json(nv_distribution())))
+    rep = tmp_path / "report.json"
+    assert run_cli(
+        "optimize", "--input", str(inp), "--name", "CH", "--trials", "6", "--cov", "mc",
+        "--allocation", "random", "--runs", "300", "--seed", "2",
+        "--output", str(tmp_path / "bstar.json"), "--report", str(rep),
+    ) == 0
+    scheme = SamplingScheme(6, Allocation.UNIFORM_RANDOM)
+    _, rejections = counts_ensemble(nv_distribution(), scheme, 300, 2)
+    assert rejections > 0
+    assert read_json(rep)["rejected_draws"] == rejections
 
 
 def test_simulate_artifacts_and_determinism(tmp_path):

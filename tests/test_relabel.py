@@ -61,12 +61,33 @@ def test_group_axioms_fail_on_non_groups(elements):
     assert not group_axioms_hold(elements)
 
 
+def _walked_table(elements):
+    """The composition table by one ``compose`` call per pair: the oracle."""
+    order = {g: i for i, g in enumerate(elements)}
+    return np.array([[order.get(g.compose(k), -1) for k in elements] for g in elements])
+
+
+def test_encoded_table_matches_the_compose_walk():
+    group = list(enumerate_group())
+    assert np.array_equal(relabel._composition_table(tuple(group)), _walked_table(group))
+    rng = np.random.default_rng(7)
+    shuffled = [group[i] for i in rng.permutation(128)]
+    assert np.array_equal(relabel._composition_table(tuple(shuffled)), _walked_table(shuffled))
+    missing = 0  # composites outside their subset, which read -1
+    for size in (1, 2, 5, 16, 64, 127):
+        subset = [group[i] for i in rng.choice(128, size, replace=False)]
+        table = relabel._composition_table(tuple(subset))
+        assert np.array_equal(table, _walked_table(subset))
+        missing += np.count_nonzero(table == -1)
+    assert missing
+
+
 def test_group_axioms_catch_a_composition_inconsistent_with_the_action(monkeypatch):
-    # reversed argument order composes the opposite group: closure, identity
-    # and inverses all still hold, so only the homomorphism check can fail
-    original = Relabeling.compose
+    # swapped operands compose the opposite group: closure, identity and
+    # inverses all still hold, so only the homomorphism check can fail
+    original = relabel._compose_codes
     relabel._composition_table.cache_clear()
-    monkeypatch.setattr(Relabeling, "compose", lambda self, other: original(other, self))
+    monkeypatch.setattr(relabel, "_compose_codes", lambda g, k: original(k, g))
     try:
         assert not group_axioms_hold()
     finally:
