@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import sources, space
+from . import space
 from .inequalities import (
     BellInequality,
     catalog,
@@ -116,6 +116,7 @@ def cmd_group_verify(args) -> int:
 
 
 def cmd_model(args) -> int:
+    from . import sources
     if args.source == "nv":
         angles = None
         if args.angles:
@@ -225,27 +226,27 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("model", help="generate a behavior from a physical source model")
     msub = m.add_subparsers(dest="source", required=True)
     nv = msub.add_parser("nv", help="deterministic entangled spin-pair source")
-    nv.add_argument("--lambda", dest="lam", type=float, default=sources.NV_LAMBDA)
-    nv.add_argument("--visibility", type=float, default=sources.NV_VISIBILITY)
-    nv.add_argument("--eta-plus-a", type=float, default=sources.NV_ETA[0])
-    nv.add_argument("--eta-minus-a", type=float, default=sources.NV_ETA[1])
-    nv.add_argument("--eta-plus-b", type=float, default=sources.NV_ETA[2])
-    nv.add_argument("--eta-minus-b", type=float, default=sources.NV_ETA[3])
+    nv.add_argument("--lambda", dest="lam", type=float, default=0.022, help="(default: %(default)s)")
+    nv.add_argument("--visibility", type=float, default=0.873, help="(default: %(default)s)")
+    nv.add_argument("--eta-plus-a", type=float, default=0.954, help="(default: %(default)s)")
+    nv.add_argument("--eta-minus-a", type=float, default=0.994, help="(default: %(default)s)")
+    nv.add_argument("--eta-plus-b", type=float, default=0.939, help="(default: %(default)s)")
+    nv.add_argument("--eta-minus-b", type=float, default=0.998, help="(default: %(default)s)")
     nv.add_argument("--angles", type=float, nargs=4, metavar=("A0", "A1", "B0", "B1"),
                     help="measurement angles in radians (default: reference angles)")
     nv.add_argument("--output", help="write the behavior JSON here (default stdout)")
     nv.set_defaults(func=cmd_model)
     spdc = msub.add_parser("spdc", help="nondeterministic photon-pair source")
-    spdc.add_argument("--mu", type=float, default=sources.SPDC_MU,
-                      help="total mean pair number")
-    spdc.add_argument("--ratio-r", type=float, default=sources.SPDC_RATIO,
-                      help="H/V pair amplitude ratio")
-    spdc.add_argument("--eta-a", type=float, default=sources.SPDC_ETA_A)
-    spdc.add_argument("--eta-b", type=float, default=sources.SPDC_ETA_B)
+    spdc.add_argument("--mu", type=float, default=5e-4,
+                      help="total mean pair number (default: %(default)s)")
+    spdc.add_argument("--ratio-r", type=float, default=0.288,
+                      help="H/V pair amplitude ratio (default: %(default)s)")
+    spdc.add_argument("--eta-a", type=float, default=0.747, help="(default: %(default)s)")
+    spdc.add_argument("--eta-b", type=float, default=0.756, help="(default: %(default)s)")
     spdc.add_argument("--angles", type=float, nargs=4, metavar=("A0", "A1", "B0", "B1"),
                       help="polarization angles in degrees (default: reference angles)")
-    spdc.add_argument("--cutoff", type=int, default=sources.SPDC_CUTOFF,
-                      help="per-mode photon-number cutoff")
+    spdc.add_argument("--cutoff", type=int, default=4,
+                      help="per-mode photon-number cutoff (default: %(default)s)")
     spdc.add_argument("--output", help="write the behavior JSON here (default stdout)")
     spdc.set_defaults(func=cmd_model)
 

@@ -12,7 +12,8 @@ run, then the cell counts of each setting block for all runs at once.  Under
 uniform-random allocation the block totals are multinomial(N, 1/4 each),
 independent of the behavior, and the runs with an empty block are redrawn.  An
 ensemble is therefore a prefix of any longer ensemble with the same seed, up
-to its last whole chunk.
+to its last whole chunk.  Chunks may be drawn concurrently, on up to
+``WORKERS`` threads; the counts do not depend on the number of threads.
 
 ``counts_ensemble`` is the one sampler: it hands out the int64 cell counts,
 and its callers apply ``frequencies`` themselves.
@@ -21,6 +22,8 @@ and its callers apply ``frequencies`` themselves.
 from __future__ import annotations
 
 import csv
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +34,8 @@ from .space import BEHAVIOR_TOL, DIM, check_distribution
 
 #: runs per chunk; chunk c draws from the stream ``default_rng([seed, c])``
 CHUNK = 1024
-
-
-def _block_totals(scheme: SamplingScheme, rng: np.random.Generator, k: int) -> np.ndarray:
-    """Per-block trial counts N(xy) of k runs, shape (k, 4), block id x + 2y."""
-    if scheme.allocation is Allocation.FIXED_EQUAL:
-        return np.broadcast_to(scheme.block_counts(), (k, 4))
-    return rng.multinomial(scheme.n_trials, [0.25] * 4, size=k)
+#: threads that draw an ensemble's chunks side by side: the CPUs this process may use
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def frequencies(counts) -> np.ndarray:
@@ -76,19 +74,47 @@ def counts_ensemble(p, scheme: SamplingScheme, runs: int,
     arr = np.clip(check_distribution(p, tol=BEHAVIOR_TOL), 0.0, None)
     shares = [pb / pb.sum() for pb in arr.reshape(4, 4)]  # block b: cells 4b ... 4b+3
     out = np.empty((runs, DIM), dtype=np.int64)
-    rejections = 0
-    for c, start in enumerate(range(0, runs, CHUNK)):
-        rng = np.random.default_rng([seed, c])
-        k = min(CHUNK, runs - start)
-        n_xy = _block_totals(scheme, rng, k)
-        empty = np.flatnonzero(np.min(n_xy, axis=1) == 0)
-        while empty.size:
-            rejections += empty.size
-            n_xy[empty] = _block_totals(scheme, rng, empty.size)
-            empty = empty[np.min(n_xy[empty], axis=1) == 0]
-        for b, pb in enumerate(shares):  # one multinomial draw per block for all k runs
-            out[start:start + k, 4 * b:4 * b + 4] = rng.multinomial(n_xy[:, b], pb)
-    return out, rejections
+    rejections = [0] * -(-runs // CHUNK)  # one count per chunk
+    workers = min(WORKERS, len(rejections))
+    stop, errors = threading.Event(), []
+
+    def draw(w):  # worker w draws chunks w, w + workers, ...; the caller is worker 0
+        try:
+            for c in range(w, len(rejections), workers):
+                if stop.is_set():
+                    return
+                rng = np.random.default_rng([seed, c])
+                rows = out[c * CHUNK:(c + 1) * CHUNK]
+                if scheme.allocation is Allocation.FIXED_EQUAL:  # block id x + 2y
+                    n_xy = np.broadcast_to(scheme.block_counts(), (len(rows), 4))
+                else:
+                    n_xy = rng.multinomial(scheme.n_trials, [0.25] * 4, size=len(rows))
+                    empty = np.flatnonzero(np.min(n_xy, axis=1) == 0)
+                    while empty.size:
+                        rejections[c] += empty.size
+                        n_xy[empty] = rng.multinomial(scheme.n_trials, [0.25] * 4, size=empty.size)
+                        empty = empty[np.min(n_xy[empty], axis=1) == 0]
+                for b, pb in enumerate(shares):  # one multinomial draw per block for all runs
+                    rows[:, 4 * b:4 * b + 4] = rng.multinomial(n_xy[:, b], pb)
+        except BaseException as exc:  # re-raised on the caller's thread below
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=draw, args=(w,)) for w in range(1, workers)]
+    try:
+        for t in threads:
+            t.start()
+        draw(0)
+        for t in threads:
+            t.join()
+    finally:  # after an exception here, each worker stops at its next chunk
+        stop.set()
+        for t in threads:
+            if t.is_alive():  # a thread that failed to start never ran
+                t.join()
+    if errors:
+        raise errors[0]
+    return out, sum(rejections)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .space import BEHAVIOR_TOL, DIM, Subspace, basis, check_distribution
 SYM_TOL = 1e-12
 EIG_TOL = 1e-10
 RCOND = 1e-10
+_PSD_SHIFT = EIG_TOL * np.eye(DIM)  # the diagonal shift of the positive-semidefinite test
 
 
 def check_covariance(sigma) -> np.ndarray:
@@ -54,8 +55,10 @@ def _checked_covariance(sigma) -> tuple[np.ndarray, float]:
         return S, scale  # e.g. the sample covariance of identical runs
     if np.max(np.abs(S - S.T)) > SYM_TOL * scale:
         raise ValueError("covariance is not symmetric")
-    if float(np.linalg.eigvalsh(S)[0]) < -EIG_TOL * scale:
-        raise ValueError("covariance is not positive semidefinite")
+    try:  # a Cholesky factor exists iff lambda_min(S) > -EIG_TOL * scale
+        np.linalg.cholesky(S / scale + _PSD_SHIFT)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance is not positive semidefinite") from None
     return S, scale
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellopt import boxes, relabel, space, variance
+from bellopt import boxes, relabel, sources, space, variance
 from bellopt.cli import main
 from bellopt.inequalities import catalog, inequality_from_json
 from bellopt.sampling import Allocation, SamplingScheme
@@ -104,6 +105,25 @@ def test_model_nv_angle_flags(tmp_path):
     assert np.allclose(p, expected, atol=0)
 
 
+@pytest.mark.parametrize("source, defaults", [
+    ("nv", {"--lambda": sources.NV_LAMBDA, "--visibility": sources.NV_VISIBILITY,
+            "--eta-plus-a": sources.NV_ETA[0], "--eta-minus-a": sources.NV_ETA[1],
+            "--eta-plus-b": sources.NV_ETA[2], "--eta-minus-b": sources.NV_ETA[3]}),
+    ("spdc", {"--mu": sources.SPDC_MU, "--ratio-r": sources.SPDC_RATIO,
+              "--eta-a": sources.SPDC_ETA_A, "--eta-b": sources.SPDC_ETA_B,
+              "--cutoff": sources.SPDC_CUTOFF}),
+])
+def test_model_help_prints_the_source_defaults(source, defaults, capsys):
+    # the parser spells the defaults out so that other commands need not
+    # import sources; they must stay the sources module's constants
+    with pytest.raises(SystemExit):
+        run_cli("model", source, "--help")
+    text = " ".join(capsys.readouterr().out.split())
+    printed = dict(re.findall(r"(--[a-z-]+) [A-Z_]+ [^\[\]()]*\(default: ([^)]+)\)", text))
+    assert printed.keys() == defaults.keys()
+    assert all(float(printed[flag]) == value for flag, value in defaults.items())
+
+
 def test_model_spdc_flags(tmp_path):
     out = tmp_path / "p2.json"
     assert run_cli("model", "spdc", "--cutoff", "3", "--mu", "2e-4", "--output", str(out)) == 0
@@ -158,18 +178,20 @@ _LOADED = (
     "print(json.dumps([code] + sorted(m for m in sys.modules\n"
     "                                 if m.startswith('bellopt.') or m == 'numpy.ma')))\n"
 )
-_NOT_RUN = {"bellopt.relabel", "bellopt.simulate", "bellopt.variance"}
+_NOT_RUN = {"bellopt.relabel", "bellopt.simulate", "bellopt.sources", "bellopt.variance"}
 
 
 @pytest.mark.parametrize("argv, absent", [
-    (["group-verify", "--output", "group.json"], {"bellopt.simulate", "bellopt.variance"}),
+    (["group-verify", "--output", "group.json"],
+     {"bellopt.simulate", "bellopt.sources", "bellopt.variance"}),
     (["catalog", "--name", "CH", "--output", "ch.json"], _NOT_RUN),
-    (["model", "nv", "--output", "p.json"], _NOT_RUN),
+    (["model", "nv", "--output", "p.json"],
+     {"bellopt.relabel", "bellopt.simulate", "bellopt.variance"}),
     (["decompose", "--input", "p1.json", "--output", "report.json"], _NOT_RUN),
     (["optimize", "--input", "p1.json", "--name", "CH", "--trials", "245",
-      "--output", "bstar.json"], {"bellopt.relabel", "bellopt.simulate"}),
+      "--output", "bstar.json"], {"bellopt.relabel", "bellopt.simulate", "bellopt.sources"}),
     (["simulate", "--input", "p1.json", "--trials", "245", "--runs", "20"],
-     {"bellopt.relabel", "bellopt.variance"}),
+     {"bellopt.relabel", "bellopt.sources", "bellopt.variance"}),
 ], ids=["group-verify", "catalog", "model-nv", "decompose", "optimize", "simulate"])
 def test_commands_load_only_what_they_run(argv, absent, tmp_path):
     (tmp_path / "p1.json").write_text(json.dumps(space.vector_to_json(nv_distribution())))

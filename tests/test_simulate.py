@@ -2,12 +2,15 @@
 
 import csv
 import json
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from bellopt import boxes
+from bellopt import boxes, simulate
 from bellopt.inequalities import BellInequality, catalog
 from bellopt.sampling import Allocation, SamplingScheme
 from bellopt.simulate import (
@@ -193,6 +196,92 @@ def test_ensemble_rows_follow_the_chunk_contract(seed, draw, scheme):
         assert np.array_equal(counts[c * CHUNK:c * CHUNK + k], ref)
         ref_rejections += rej
     assert rejections == ref_rejections
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("scheme", [
+    SamplingScheme(245),
+    SamplingScheme(5, Allocation.UNIFORM_RANDOM),  # frequent rejections
+], ids=["fixed-245", "random-5"])
+def test_counts_do_not_depend_on_the_number_of_threads(monkeypatch, rng, scheme, workers):
+    # chunk c is drawn by worker c mod WORKERS into its own rows, from its own
+    # stream, so every thread count hands out the same counts and rejections;
+    # frequent thread switches would expose a lost update
+    p = boxes.random_nonsignaling(rng)
+    monkeypatch.setattr(simulate, "WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for runs in (1, CHUNK, CHUNK + 1, 5 * CHUNK + 3):
+            counts, rejections = counts_ensemble(p, scheme, runs=runs, seed=42)
+            sizes = [min(CHUNK, runs - start) for start in range(0, runs, CHUNK)]
+            ref = [_reference_chunk(p, scheme, 42, c, k) for c, k in enumerate(sizes)]
+            assert np.array_equal(counts, np.concatenate([r[0] for r in ref]))
+            assert rejections == sum(r[1] for r in ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("on_caller", [False, True], ids=["fails-on-a-worker", "fails-on-the-caller"])
+def test_a_failing_chunk_is_raised_and_no_thread_outlives_the_call(monkeypatch, on_caller, error):
+    # each chunk asks the fixed-allocation scheme for its block totals; the
+    # request fails on the worker thread or on the calling thread, worker 0
+    block_counts = SamplingScheme.block_counts
+
+    def failing(scheme):
+        if (threading.current_thread() is threading.main_thread()) == on_caller:
+            raise error("injected")
+        return block_counts(scheme)
+
+    monkeypatch.setattr(simulate, "WORKERS", 2)
+    monkeypatch.setattr(SamplingScheme, "block_counts", failing)
+    before = threading.active_count()
+    with pytest.raises(error, match="injected"):
+        counts_ensemble(boxes.uniform_box(), SamplingScheme(64), runs=4 * CHUNK, seed=1)
+    assert threading.active_count() == before
+
+
+def test_an_interrupt_while_waiting_for_the_workers_stops_them(monkeypatch):
+    # the caller is interrupted (as by Ctrl-C or a SIGALRM handler) in its
+    # first join, while the worker, slowed down here, has chunks left to draw
+    block_counts, join = SamplingScheme.block_counts, threading.Thread.join
+    worker_chunks, joins = [], []
+
+    def slow(scheme):
+        if threading.current_thread() is not threading.main_thread():
+            worker_chunks.append(scheme)
+            time.sleep(0.05)
+        return block_counts(scheme)
+
+    def interrupted(thread, timeout=None):
+        joins.append(thread)
+        if len(joins) == 1:
+            raise KeyboardInterrupt
+        return join(thread, timeout)
+
+    monkeypatch.setattr(simulate, "WORKERS", 2)
+    monkeypatch.setattr(SamplingScheme, "block_counts", slow)
+    monkeypatch.setattr(threading.Thread, "join", interrupted)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        counts_ensemble(boxes.uniform_box(), SamplingScheme(64), runs=40 * CHUNK, seed=1)
+    assert threading.active_count() == before
+    assert len(worker_chunks) < 20  # it stopped before drawing all of its chunks
+
+
+def test_one_chunk_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(simulate, "WORKERS", 8)
+    monkeypatch.setattr(simulate.threading, "Thread", no_thread)
+    before = threading.active_count()
+    counts, _ = counts_ensemble(boxes.uniform_box(), SamplingScheme(64), runs=CHUNK, seed=1)
+    assert counts.shape == (CHUNK, 16)
+    with pytest.raises(AssertionError, match="thread was started"):  # two chunks would
+        counts_ensemble(boxes.uniform_box(), SamplingScheme(64), runs=CHUNK + 1, seed=1)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("allocation", list(Allocation))

@@ -25,6 +25,7 @@ from bellopt.space import (
     subspace_signs,
 )
 from bellopt.variance import (
+    EIG_TOL,
     RCOND,
     _checked_covariance,
     analytic_covariance,
@@ -215,6 +216,30 @@ def test_check_covariance_verdict_is_scale_invariant(trials, seed, log_eig, log_
     c = 2.0**k
     assert _accepted(S) == _accepted(c * S)
     assert _accepted(S / scale) == _accepted(S)
+
+
+def _eigvalsh_accepts(S) -> bool:
+    """The positive-semidefiniteness rule before the Cholesky test, as the oracle."""
+    scale = float(np.max(np.abs(S)))
+    return scale == 0.0 or float(np.linalg.eigvalsh(S)[0]) >= -EIG_TOL * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(trials=st.sampled_from([100, 10**8]), seed=st.integers(0, 2**32 - 1),
+       log_eig=st.floats(-10.5, -9.5), block=st.integers(0, 3), mix=st.floats(0.0, 1.0),
+       k=st.integers(-40, 40))
+def test_cholesky_verdict_matches_the_eigenvalue_rule(trials, seed, log_eig, block, mix, k):
+    # bend a valid covariance along a mix of one of its null directions (a
+    # block's all-ones vector) and a random one, by 10^log_eig of its scale,
+    # so that its smallest eigenvalue lands on either side of -EIG_TOL * scale
+    rng = np.random.default_rng(seed)
+    S = analytic_covariance(boxes.random_nonsignaling(rng), SamplingScheme(trials))
+    u = np.zeros(DIM)
+    u[4 * block:4 * block + 4] = 0.5
+    u += mix * rng.normal(size=DIM) / 4.0
+    u /= np.linalg.norm(u)
+    S = 2.0**k * (S - 10.0**log_eig * np.max(np.abs(S)) * np.outer(u, u))
+    assert _accepted(S) == _eigvalsh_accepts(S)
 
 
 @settings(max_examples=60, deadline=None)
