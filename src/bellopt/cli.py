@@ -40,8 +40,7 @@ def _load_json(path: str) -> dict:
 
 
 def _load_behavior(path: str) -> np.ndarray:
-    v = space.vector_from_json(_load_json(path))
-    return space.check_distribution(v, tol=space.BEHAVIOR_TOL)
+    return space.check_distribution(space.vector_from_json(_load_json(path)))
 
 
 def _scheme(args) -> SamplingScheme:

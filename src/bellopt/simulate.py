@@ -30,7 +30,7 @@ import numpy as np
 
 from .inequalities import BellInequality, sigma_ratio
 from .sampling import Allocation, SamplingScheme
-from .space import BEHAVIOR_TOL, DIM, check_distribution
+from .space import DIM, block_distributions
 
 #: runs per chunk; chunk c draws from the stream ``default_rng([seed, c])``
 CHUNK = 1024
@@ -69,10 +69,7 @@ def counts_ensemble(p, scheme: SamplingScheme, runs: int,
         raise ValueError("need at least one run")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    # clip the tolerance-level negatives admitted by check_distribution;
-    # multinomial sampling requires exact nonnegativity
-    arr = np.clip(check_distribution(p, tol=BEHAVIOR_TOL), 0.0, None)
-    shares = [pb / pb.sum() for pb in arr.reshape(4, 4)]  # block b: cells 4b ... 4b+3
+    shares = block_distributions(p)  # row b: the shares of cells 4b ... 4b+3
     out = np.empty((runs, DIM), dtype=np.int64)
     rejections = [0] * -(-runs // CHUNK)  # one count per chunk
     workers = min(WORKERS, len(rejections))

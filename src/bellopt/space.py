@@ -218,7 +218,7 @@ def bell_value(beta, p) -> float:
 
 # --- behavior predicates -------------------------------------------------
 
-def check_distribution(v, tol: float = ATOL_EXACT) -> np.ndarray:
+def check_distribution(v, tol: float = BEHAVIOR_TOL) -> np.ndarray:
     """Validate nonnegativity and per-block normalization; return the vector."""
     arr = as_vector(v)
     cells = arr.tolist()
@@ -231,12 +231,20 @@ def check_distribution(v, tol: float = ATOL_EXACT) -> np.ndarray:
     return arr
 
 
-def is_distribution(v, tol: float = ATOL_EXACT) -> bool:
+def is_distribution(v, tol: float = BEHAVIOR_TOL) -> bool:
     try:
         check_distribution(v, tol)
     except ValueError:
         return False
     return True
+
+
+def block_distributions(p) -> np.ndarray:
+    """The (4, 4) per-block distributions an accepted behavior stands for, the one
+    model of the covariance and the sampler: ``p`` checked at ``BEHAVIOR_TOL``, its
+    tolerance-level negatives set to 0 and each block (row x + 2y) divided by its sum."""
+    blocks = np.maximum(check_distribution(p), 0.0).reshape(4, 4)
+    return blocks / blocks.sum(axis=1, keepdims=True)
 
 
 def _cells(v) -> np.ndarray:

@@ -10,8 +10,7 @@ change without touching the value on nonsignaling behaviors, so minimizing
 over them yields the statistically optimal variant.
 
 Block view: block ``b = x + 2y`` is row ``b`` of ``p.reshape(4, 4)``, so the
-covariance, seen as ``(4, 4, 4, 4)`` with axes (block, cell, block, cell), is
-nonzero only on its four diagonal blocks ``[b, :, b, :]``.  The optimizer
+covariance is nonzero only on its four diagonal 4x4 blocks.  The optimizer
 reads the signaling subspace from ``space.basis``.
 """
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .inequalities import BellInequality, sigma_ratio  # noqa: F401  (re-exported)
 from .sampling import SamplingScheme
-from .space import BEHAVIOR_TOL, DIM, Subspace, basis, check_distribution
+from .space import DIM, Subspace, basis, block_distributions
 
 
 #: asymmetry (SYM_TOL) and negative eigenvalues and quadratic forms (EIG_TOL)
@@ -31,6 +30,7 @@ SYM_TOL = 1e-12
 EIG_TOL = 1e-10
 RCOND = 1e-10
 _PSD_SHIFT = EIG_TOL * np.eye(DIM)  # the diagonal shift of the positive-semidefinite test
+_SAME_BLOCK = np.kron(np.eye(4), np.ones((4, 4)))  # M: 1 where two cells share a setting block
 
 
 def check_covariance(sigma) -> np.ndarray:
@@ -65,20 +65,16 @@ def _checked_covariance(sigma) -> tuple[np.ndarray, float]:
 def analytic_covariance(p, scheme: SamplingScheme) -> np.ndarray:
     """Multinomial covariance of the frequency estimator, fixed allocation.
 
-    Within the block (x, y) holding n trials,
-    Cov(p_hat_ab, p_hat_a'b') = (delta p_ab - p_ab p_a'b') / n; blocks are
-    independent, so all cross-block entries vanish.
+    Sigma = (diag q - M o q q^T) / n, where q is ``space.block_distributions(p)``
+    as a 16-vector: p with its tolerance-level negatives set to 0 and each block
+    divided by its sum, the blocks the sampler draws from.  n is each cell's
+    block count and M the 0/1 mask of cell pairs in one setting block.
     """
-    arr = check_distribution(p, tol=BEHAVIOR_TOL)
-    n = np.array(scheme.block_counts(), dtype=float)[:, None, None]
-    blocks = arr.reshape(4, 4)
-    d = np.arange(4)
-    # per block: diag(p_b) - p_b p_b^T; 0 - x, not -x, keeps +0.0 where a product is 0
-    cov = np.subtract(0.0, blocks[:, :, None] * blocks[:, None, :])
-    cov[:, d, d] += blocks
-    sigma = np.zeros((4, 4, 4, 4))
-    sigma[d, :, d, :] = cov / n
-    return sigma.reshape(DIM, DIM)
+    q = block_distributions(p).reshape(DIM)
+    sigma = np.subtract(0.0, _SAME_BLOCK * q * q[:, None])  # 0 - x, not -x, keeps +0.0
+    sigma.flat[::DIM + 1] += q
+    sigma /= np.array(scheme.block_counts(), dtype=float).repeat(4)[:, None]
+    return sigma
 
 
 def mc_covariance(p, scheme: SamplingScheme, runs: int, seed: int) -> np.ndarray:

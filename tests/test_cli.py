@@ -234,6 +234,24 @@ def test_optimize_artifacts(tmp_path):
     assert report["sd_before"] == pytest.approx(variance.std_dev(catalog("CH"), sigma))
 
 
+def test_optimize_accepts_the_photon_pair_rounded_to_twelve_digits(tmp_path):
+    # the rounded file's blocks sum to 1 +- 3.8e-13, inside the input tolerance;
+    # the covariance is built from the renormalized blocks, so it stays PSD at
+    # 176M trials, where entries are near 4e-12
+    p = spdc_distribution()
+    sd_after = {}
+    for label, coeffs in (("full", p), ("rounded", [float(f"{c:.12g}") for c in p])):
+        inp = tmp_path / f"{label}.json"
+        inp.write_text(json.dumps(space.vector_to_json(coeffs)))
+        rep = tmp_path / f"{label}_report.json"
+        assert run_cli(
+            "optimize", "--input", str(inp), "--name", "EH", "--trials", "176000000",
+            "--cov", "analytic", "--output", str(tmp_path / "bstar.json"), "--report", str(rep),
+        ) == 0
+        sd_after[label] = read_json(rep)["sd_after"]
+    assert sd_after["rounded"] == pytest.approx(sd_after["full"], rel=1e-9)
+
+
 def test_optimize_mc_covariance_deterministic(tmp_path):
     inp = tmp_path / "p.json"
     inp.write_text(json.dumps(space.vector_to_json(boxes.tsirelson_box())))

@@ -14,7 +14,10 @@ sign-character table every other module reads.  A fifth finds
 ``check_distribution`` calls given a numeric literal as ``tol`` outside
 ``space``, which holds the one behavior tolerance.  A sixth finds calls that
 seed a generator or draw multinomial counts outside ``simulate``, whose
-chunked engine is the one sampler and owns the stream contract.
+chunked engine is the one sampler and owns the stream contract.  A seventh
+finds ``BEHAVIOR_TOL`` and ``clip`` named outside ``space``, whose
+``block_distributions`` is the one statement of what an accepted behavior
+means.
 """
 
 import ast
@@ -275,6 +278,52 @@ def test_only_space_spells_out_a_behavior_tolerance():
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path in files
              for line in literal_tolerances(path.read_text())]
+    assert found == []
+
+
+#: the names that state what an accepted behavior means: its tolerance and
+#: the clip of its tolerance-level negatives
+POLICY_NAMES = frozenset({"BEHAVIOR_TOL", "clip"})
+
+
+def policy_names(source: str) -> list[int]:
+    """Lines that name a ``POLICY_NAMES`` entry: as a bare name, an
+    attribute or an imported name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+        if POLICY_NAMES.intersection(names):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_scan_flags_behavior_policy_names():
+    source = (
+        "from .space import BEHAVIOR_TOL, DIM\n"
+        "from . import space\n"
+        "a = check_distribution(p, tol=space.BEHAVIOR_TOL)\n"
+        "b = np.clip(arr, 0.0, None)\n"
+        "c = block_distributions(p)\n"
+        "d = arr.clip(min=0.0)\n"
+        "e = check_distribution(p)\n"
+        "def f(tol=BEHAVIOR_TOL):\n"
+        "    return 'BEHAVIOR_TOL'  # a string or comment names nothing\n"
+        "from numpy import clip as nonneg\n"
+    )
+    assert policy_names(source) == [1, 3, 4, 6, 8, 10]
+
+
+def test_only_space_states_the_behavior_policy():
+    # the covariance and the sampler read space.block_distributions; a second
+    # clip or tolerance would let their models drift apart again
+    files = [path for path in sorted((ROOT / "src").rglob("*.py")) if path.name != "space.py"]
+    assert files
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in files
+             for line in policy_names(path.read_text())]
     assert found == []
 
 

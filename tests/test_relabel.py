@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellopt import boxes, relabel
+from bellopt.inequalities import BellInequality, catalog, deterministic_maximum, ns_equivalent
 from bellopt.relabel import (
     GLOBAL_OUTCOME_FLIP,
     IDENTITY,
@@ -25,7 +26,17 @@ from bellopt.relabel import (
     spans_subspace,
     verify_invariance,
 )
-from bellopt.space import DIM, Subspace, projector, q_basis, subspace_signs, vector_index
+from bellopt.sampling import SamplingScheme
+from bellopt.space import (
+    DIM,
+    Subspace,
+    decompose,
+    projector,
+    q_basis,
+    subspace_signs,
+    vector_index,
+)
+from bellopt.variance import analytic_covariance, optimal_variant, std_dev
 
 SIGNS = (1, -1)
 
@@ -313,3 +324,64 @@ def test_cayley_checksum_is_stable():
     assert cayley_checksum() == (
         "fb822dd4a6e0298aebe19c01985f775a5f5f4a8e23acd658a41cf9b15d24e293"
     )
+
+
+# --- the numerical core commutes with the whole group ---------------------
+
+def _acted(g, beta):
+    return BellInequality(act(g, beta.coeffs), beta.local_bound, beta.name)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(["CHSH", "CH", "EH"]),
+       trials=st.sampled_from([244, 10**4, 176_000_000]))
+def test_core_maps_commute_with_every_relabeling(seed, name, trials):
+    # with M the permutation matrix of g: decompose(gv) = g decompose(v) per
+    # invariant block, Sigma(gp) = M Sigma M^T when 4 divides N (the
+    # renormalized blocks may differ in the last bit), the optimum of g beta
+    # under M Sigma M^T is g beta*, and equivalence verdicts do not move
+    rng = np.random.default_rng(seed)
+    p, v = boxes.random_nonsignaling(rng), rng.normal(size=DIM)
+    scheme = SamplingScheme(trials)
+    S = analytic_covariance(p, scheme)
+    beta = catalog(name)
+    bstar = optimal_variant(beta, S)
+    rivals = [catalog(n) for n in ("CHSH", "CH", "EH")] + [bstar]
+    verdicts = [[ns_equivalent(b1, b2) for b2 in rivals] for b1 in rivals]
+    parts = decompose(v)
+    for g in enumerate_group():
+        gparts = decompose(act(g, v))
+        for block in INVARIANT_BLOCKS:
+            assert np.max(np.abs(gparts[block] - act(g, parts[block]))) <= 1e-14 * np.max(np.abs(v))
+        M = matrix_of(g)
+        gS = M @ S @ M.T
+        assert (np.max(np.abs(analytic_covariance(act(g, p), scheme) - gS))
+                <= 1e-15 * np.max(np.abs(S)))
+        gstar = optimal_variant(_acted(g, beta), gS)
+        assert (np.max(np.abs(gstar.coeffs - act(g, bstar.coeffs)))
+                <= 1e-14 * np.max(np.abs(bstar.coeffs)))
+        assert std_dev(gstar, gS) == pytest.approx(std_dev(bstar, S), rel=1e-14)
+        grivals = [_acted(g, b) for b in rivals]
+        assert [[ns_equivalent(b1, b2) for b2 in grivals] for b1 in grivals] == verdicts
+        assert deterministic_maximum(_acted(g, beta)) == pytest.approx(
+            deterministic_maximum(beta), abs=1e-14)
+
+
+def test_fixed_allocation_at_245_trials_is_not_equivariant(rng):
+    # 245 = 62 + 3 * 61: block (0, 0) holds one trial more than the others, so
+    # Sigma(gp) = M Sigma M^T only for the 32 relabelings that keep block
+    # (0, 0) in place (outcome flips, with or without the party swap); the
+    # other 96 move its 1/62 weight onto a block of 61 trials
+    p = boxes.random_nonsignaling(rng)
+    scheme = SamplingScheme(245)
+    S = analytic_covariance(p, scheme)
+    moved = []
+    for g in enumerate_group():
+        M = matrix_of(g)
+        dev = np.max(np.abs(analytic_covariance(act(g, p), scheme) - M @ S @ M.T))
+        if permutation_of(g)[0] < 4:  # cell 0 stays in block (0, 0)
+            assert dev <= 1e-15 * np.max(np.abs(S))
+        else:
+            moved.append(dev / np.max(np.abs(S)))
+    assert len(moved) == 96
+    assert 1e-3 < min(moved) and max(moved) < 2e-2

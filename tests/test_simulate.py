@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellopt import boxes, simulate
 from bellopt.inequalities import BellInequality, catalog
@@ -25,6 +27,7 @@ from bellopt.space import (
     BEHAVIOR_TOL,
     DIM,
     Subspace,
+    block_distributions,
     block_indices,
     check_distribution,
     decompose,
@@ -32,6 +35,7 @@ from bellopt.space import (
     vector_index,
 )
 from bellopt.variance import analytic_covariance, mc_covariance, std_dev
+from strategies import accepted_behaviors
 
 
 def _vertex_frequencies(runs):
@@ -381,6 +385,21 @@ def test_counts_give_the_frequency_engine_rows_exactly(rng, scheme):
     assert rep.rejections == rejections
     assert np.array_equal(mc_covariance(p, scheme, runs=runs, seed=21),
                           np.cov(freqs, rowvar=False, ddof=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=accepted_behaviors(), allocation=st.sampled_from(list(Allocation)),
+       seed=st.integers(0, 2**32 - 1))
+def test_shares_and_counts_match_the_clip_and_divide_oracle(p, allocation, seed):
+    # the sampler's own clip and shares lines before they moved into
+    # space.block_distributions, copied verbatim as the oracle
+    arr = np.clip(check_distribution(p, tol=BEHAVIOR_TOL), 0.0, None)
+    shares = [pb / pb.sum() for pb in arr.reshape(4, 4)]  # block b: cells 4b ... 4b+3
+    assert np.array_equal(block_distributions(p), np.stack(shares))
+    scheme = SamplingScheme(245, allocation)
+    counts, _ = counts_ensemble(p, scheme, runs=50, seed=seed)
+    rng = np.random.default_rng([seed, 0])
+    assert np.array_equal(counts, _cell_counts(arr, _block_totals(scheme, rng, 50), rng))
 
 
 def test_uniform_random_allocation_rejects_empty_blocks():

@@ -35,6 +35,7 @@ from bellopt.variance import (
     sigma_ratio,
     std_dev,
 )
+from strategies import accepted_behaviors
 
 PI_SI = projector(Subspace.SI)
 PI_BAR = np.eye(DIM) - PI_SI
@@ -126,8 +127,10 @@ def test_analytic_covariance_matches_exact_enumeration():
 
 
 def _ix_loop_covariance(p, scheme):
-    # the per-block np.ix_ fill that the block view replaced, kept as oracle
-    arr = check_distribution(p, tol=1e-9)
+    # the per-block np.ix_ fill that the block view replaced, kept as oracle;
+    # like the sampler, it sets tolerance-level negatives to 0 and divides
+    # each block by its sum
+    arr = np.clip(check_distribution(p, tol=1e-9), 0.0, None)
     if scheme.allocation is not Allocation.FIXED_EQUAL:
         raise ValueError("the analytic form needs deterministic per-block counts")
     counts = scheme.block_counts()
@@ -135,7 +138,7 @@ def _ix_loop_covariance(p, scheme):
     for x in range(2):
         for y in range(2):
             idx = block_indices(x, y)
-            pb = arr[idx]
+            pb = arr[idx] / arr[idx].sum()
             n = counts[x + 2 * y]
             sigma[np.ix_(idx, idx)] = (np.diag(pb) - np.outer(pb, pb)) / n
     return sigma
@@ -146,10 +149,27 @@ def test_analytic_covariance_matches_ix_loop_oracle(rng):
     behaviors = [boxes.random_nonsignaling(rng) for _ in range(20)]
     behaviors += [rng.dirichlet(np.ones(4), size=4).ravel() for _ in range(20)]
     behaviors += [boxes.local_vertex(0, 1, 1, 0), spdc_distribution()]
+    for p in behaviors[:20]:  # accepted only as rounding: a negative cell, uneven block sums
+        q = p.copy()
+        q[[0, 1, 10]] += [-q[0] - 5e-10, q[0], 7e-10]
+        q[14] -= 9e-10
+        behaviors.append(q)
     for trials in (4, 5, 6, 7, 245, 1001, 10**8 + 3, 176_000_000):
         scheme = SamplingScheme(trials)
         for p in behaviors:
             assert np.array_equal(analytic_covariance(p, scheme), _ix_loop_covariance(p, scheme))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=accepted_behaviors(), name=st.sampled_from(["CHSH", "CH", "EH"]))
+def test_every_accepted_behavior_gives_a_psd_covariance_and_an_optimum(p, name):
+    # a block that sums to 1 + eps would give Sigma an eigenvalue near
+    # -eps / (4n), below the PSD bound at 176M trials; the renormalized
+    # blocks give none
+    check_distribution(p)
+    for trials in (245, 176_000_000):
+        S = check_covariance(analytic_covariance(p, SamplingScheme(trials)))
+        optimal_variant(catalog(name), S)
 
 
 def test_optimizer_constants_are_cached_and_read_only():
