@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from bellopt import boxes
-from bellopt.space import DIM, is_distribution, is_nonsignaling, vector_index
+from bellopt.space import ATOL_EXACT, DIM, is_distribution, is_nonsignaling, vector_index
 
 CELLS = list(itertools.product(range(2), repeat=4))  # (a, b, x, y)
 
@@ -51,4 +51,4 @@ def test_random_nonsignaling_mixes_the_vertex_table():
         p = boxes.random_nonsignaling(np.random.default_rng(seed))
         w = np.random.default_rng(seed).dirichlet(np.ones(24))
         assert np.max(np.abs(p - np.sum([wi * v for wi, v in zip(w, table)], axis=0))) < 1e-15
-        assert is_distribution(p) and is_nonsignaling(p)
+        assert is_distribution(p, tol=ATOL_EXACT) and is_nonsignaling(p)

@@ -392,14 +392,15 @@ def test_counts_give_the_frequency_engine_rows_exactly(rng, scheme):
        seed=st.integers(0, 2**32 - 1))
 def test_shares_and_counts_match_the_clip_and_divide_oracle(p, allocation, seed):
     # the sampler's own clip and shares lines before they moved into
-    # space.block_distributions, copied verbatim as the oracle
+    # space.block_distributions, copied verbatim as the oracle; the counts
+    # follow the same rule through _reference_chunk
     arr = np.clip(check_distribution(p, tol=BEHAVIOR_TOL), 0.0, None)
     shares = [pb / pb.sum() for pb in arr.reshape(4, 4)]  # block b: cells 4b ... 4b+3
     assert np.array_equal(block_distributions(p), np.stack(shares))
     scheme = SamplingScheme(245, allocation)
-    counts, _ = counts_ensemble(p, scheme, runs=50, seed=seed)
-    rng = np.random.default_rng([seed, 0])
-    assert np.array_equal(counts, _cell_counts(arr, _block_totals(scheme, rng, 50), rng))
+    counts, rejections = counts_ensemble(p, scheme, runs=50, seed=seed)
+    ref, ref_rejections = _reference_chunk(p, scheme, seed, 0, 50)
+    assert np.array_equal(counts, ref) and rejections == ref_rejections
 
 
 def test_uniform_random_allocation_rejects_empty_blocks():

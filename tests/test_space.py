@@ -16,6 +16,7 @@ from bellopt.space import (
     _Q,
     _X,
     _Y,
+    ATOL_EXACT,
     DIM,
     Subspace,
     FINE_SUBSPACES,
@@ -441,11 +442,11 @@ def test_correlator_box_validation():
         boxes.correlator_box(np.full((2, 2), 1.5))
     with pytest.raises(ValueError):
         boxes.correlator_box(np.zeros((2, 3)))
-    assert is_distribution(boxes.correlator_box(np.zeros((2, 2))))
+    assert is_distribution(boxes.correlator_box(np.zeros((2, 2))), tol=ATOL_EXACT)
 
 
 def test_distribution_predicates():
-    assert is_distribution(boxes.uniform_box())
+    assert is_distribution(boxes.uniform_box(), tol=ATOL_EXACT)
     assert not is_distribution(np.full(DIM, 0.3))
     bad = boxes.uniform_box()
     bad[0] = -0.1
