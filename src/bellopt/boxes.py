@@ -9,34 +9,9 @@ import itertools
 
 import numpy as np
 
-from .space import DIM, _A, _B, _X, _Y  # per-cell labels in index order
+from .space import _A, _B, _X, _Y  # per-cell labels in index order
 
 SQRT2 = float(np.sqrt(2.0))
-
-
-def uniform_box() -> np.ndarray:
-    """Both parties toss fair coins regardless of the settings: p = 1/4."""
-    return np.full(DIM, 0.25)
-
-
-def biased_marginal_box(p_b0: float = 0.25) -> np.ndarray:
-    """Alice tosses a fair coin, Bob a biased one (P[b=0] = p_b0), for any setting."""
-    if not 0.0 <= p_b0 <= 1.0:
-        raise ValueError("p_b0 must be a probability")
-    return 0.5 * np.where(_B == 0, p_b0, 1.0 - p_b0)
-
-
-def setting_copy_box() -> np.ndarray:
-    """Bob's outcome equals Alice's setting, Alice tosses a fair coin.
-
-    Purely signaling from Alice to Bob: p = (1/2) delta_{b=x}.
-    """
-    return 0.5 * (_B == _X)
-
-
-def shared_coin_box() -> np.ndarray:
-    """Perfectly correlated fair outcomes for every setting: p = (1/2) delta_{a=b}."""
-    return 0.5 * (_A == _B)
 
 
 def pr_box() -> np.ndarray:

@@ -152,7 +152,11 @@ def cmd_optimize(args) -> int:
     bstar = variance.optimal_variant(beta, sigma)
     sd_before = variance.std_dev(beta, sigma)
     sd_after = variance.std_dev(bstar, sigma)
-    value = beta.value(p)
+    value = beta.value(space.block_distributions(p).ravel())  # the blocks sigma is built from
+    # a ratio is reported only for a positive sd, as in the simulate summary
+    ratios = {f"sigma_ratio_{when}": variance.sigma_ratio(value, b.local_bound, sd)
+              for when, b, sd in (("before", beta, sd_before), ("after", bstar, sd_after))
+              if sd > 0.0}
     report = {
         "inequality": beta.name,
         "covariance": args.cov,
@@ -160,14 +164,14 @@ def cmd_optimize(args) -> int:
         "value": value,
         "sd_before": sd_before,
         "sd_after": sd_after,
-        "sigma_ratio_before": variance.sigma_ratio(value, beta.local_bound, sd_before),
-        "sigma_ratio_after": variance.sigma_ratio(value, bstar.local_bound, sd_after),
+        **ratios,
     }
     if args.cov == "mc":
         report["rejected_draws"] = rejections
     print(f"value = {value:.6g}")
     print(f"sd: {sd_before:.6g} -> {sd_after:.6g}")
-    print(f"sigma ratio: {report['sigma_ratio_before']:.3f} -> {report['sigma_ratio_after']:.3f}")
+    if len(ratios) == 2:
+        print(f"sigma ratio: {ratios['sigma_ratio_before']:.3f} -> {ratios['sigma_ratio_after']:.3f}")
     _dump_json(inequality_to_json(bstar), args.output)
     if args.report:
         _dump_json(report, args.report)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import DIM, _A, _B, _X, _Y, Subspace, projector, q_basis, vector_index
+from .space import DIM, _A, _B, _X, _Y, Subspace, projector, vector_index
 
 _PERMS2 = ((0, 1), (1, 0))  # the two permutations of {0, 1}
 _OUTCOME_PERMS = tuple(itertools.product(_PERMS2, repeat=2))
@@ -124,12 +124,6 @@ def enumerate_group() -> tuple[Relabeling, ...]:
     )
 
 
-GLOBAL_OUTCOME_FLIP = Relabeling(
-    False,
-    PartyRelabeling((0, 1), ((1, 0), (1, 0))),
-    PartyRelabeling((0, 1), ((1, 0), (1, 0))),
-)
-
 #: the six blocks that the group leaves invariant (party swap mixes the A/B
 #: halves of the marginal and signaling pieces, so those count as one block)
 INVARIANT_BLOCKS = (
@@ -177,13 +171,6 @@ def _pair_images(elements: tuple) -> np.ndarray:
     images = (perms[:, :, None] * DIM + perms[:, None, :]).reshape(len(perms), DIM * DIM)
     images.flags.writeable = False
     return images
-
-
-def spans_subspace(vecs, signs) -> bool:
-    """True iff every vector lies in the span of the given Q sign vectors."""
-    basis = np.stack([q_basis(*s) for s in signs], axis=1) / 4.0
-    P = basis @ basis.T
-    return all(np.allclose(P @ v, v, atol=1e-12) for v in vecs)
 
 
 def verify_invariance(block: Subspace, elements=None) -> bool:

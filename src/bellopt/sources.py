@@ -72,12 +72,6 @@ class ReadoutModel:
         pi0 = np.diag([ep, 1.0 - em])
         return pi0, np.eye(2) - pi0
 
-    def symmetrized(self) -> "ReadoutModel":
-        """Outcome-flip-symmetric idealization (equal bright/dark fidelity)."""
-        fa = 0.5 * (self.eta_plus_a + self.eta_minus_a)
-        fb = 0.5 * (self.eta_plus_b + self.eta_minus_b)
-        return ReadoutModel(fa, fa, fb, fb)
-
 
 @dataclass(frozen=True)
 class MeasurementAngles:

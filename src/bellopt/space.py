@@ -48,9 +48,6 @@ _B = np.tile(np.repeat([0, 1], 2), 4)
 _X = np.tile(np.repeat([0, 1], 4), 2)
 _Y = np.repeat([0, 1], 8)
 
-#: cell labels "abxy" in index order: 0000, 1000, 0100, 1100, 0010, ...
-INDEX_LABELS = tuple(f"{a}{b}{x}{y}" for a, b, x, y in zip(_A, _B, _X, _Y))
-
 
 def as_vector(v) -> np.ndarray:
     """Coerce to a finite float vector of length 16 (copy)."""
@@ -61,11 +58,6 @@ def as_vector(v) -> np.ndarray:
     if not math.isfinite(sum(arr.tolist())) and not np.isfinite(arr).all():
         raise ValueError("vector components must be finite")
     return arr
-
-
-def block_indices(x: int, y: int) -> np.ndarray:
-    """Indices of the four (a, b) cells of the setting block (x, y)."""
-    return np.array([vector_index(a, b, x, y) for b in range(2) for a in range(2)])
 
 
 _SIGNS = (1, -1)
@@ -252,16 +244,6 @@ def _cells(v) -> np.ndarray:
     return as_vector(v).reshape(2, 2, 2, 2)
 
 
-def marginal_a(v, a: int, x: int, y: int) -> float:
-    """Alice marginal sum_b p_{ab|xy}, computed from the given y block."""
-    return float(_cells(v)[y, x, :, a].sum())
-
-
-def marginal_b(v, b: int, x: int, y: int) -> float:
-    """Bob marginal sum_a p_{ab|xy}, computed from the given x block."""
-    return float(_cells(v)[y, x, b].sum())
-
-
 def is_nonsignaling(v, tol: float = ATOL_EXACT) -> bool:
     """Literal marginal tests: each party's marginals do not depend on the
     other party's setting choice.  Independent of the subspace machinery."""
@@ -269,22 +251,6 @@ def is_nonsignaling(v, tol: float = ATOL_EXACT) -> bool:
     marg_a, marg_b = t.sum(axis=2), t.sum(axis=3)  # [y, x, a], [y, x, b]
     return bool(np.all(np.abs(marg_a[0] - marg_a[1]) <= tol)
                 and np.all(np.abs(marg_b[:, 0] - marg_b[:, 1]) <= tol))
-
-
-def correlator(v, x: int, y: int) -> float:
-    """E_xy = sum_ab (-1)^(a+b) p_{ab|xy}."""
-    c = _cells(v)[y, x]  # [b, a]
-    return float(c[0, 0] - c[1, 0] - c[0, 1] + c[1, 1])
-
-
-def correlator_pattern(x: int, y: int) -> np.ndarray:
-    """Unit-trace correlation pattern E_vec_xy = (1/16) sum_kl k^x l^y Q_{--kl}.
-
-    The correlation component of any vector is sum_xy correlator(v,x,y) *
-    correlator_pattern(x,y).
-    """
-    weights = [float(k) ** x * float(l) ** y for _, _, k, l in subspace_signs(Subspace.CORR)]
-    return basis(Subspace.CORR) @ weights / 4.0
 
 
 # --- JSON codec ----------------------------------------------------------

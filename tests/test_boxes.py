@@ -6,6 +6,7 @@ import numpy as np
 
 from bellopt import boxes
 from bellopt.space import ATOL_EXACT, DIM, is_distribution, is_nonsignaling, vector_index
+from fixtures import biased_marginal_box, setting_copy_box, shared_coin_box
 
 CELLS = list(itertools.product(range(2), repeat=4))  # (a, b, x, y)
 
@@ -21,9 +22,9 @@ def test_boxes_match_their_cell_formulas(rng):
     e = rng.uniform(-1.0, 1.0, size=(2, 2))
     tsirelson = [[1.0 / boxes.SQRT2, 1.0 / boxes.SQRT2], [1.0 / boxes.SQRT2, -1.0 / boxes.SQRT2]]
     cases = [
-        (boxes.biased_marginal_box(0.3), lambda a, b, x, y: 0.5 * (0.3 if b == 0 else 1.0 - 0.3)),
-        (boxes.setting_copy_box(), lambda a, b, x, y: 0.5 * (b == x)),
-        (boxes.shared_coin_box(), lambda a, b, x, y: 0.5 * (a == b)),
+        (biased_marginal_box(0.3), lambda a, b, x, y: 0.5 * (0.3 if b == 0 else 1.0 - 0.3)),
+        (setting_copy_box(), lambda a, b, x, y: 0.5 * (b == x)),
+        (shared_coin_box(), lambda a, b, x, y: 0.5 * (a == b)),
         (boxes.pr_box(), lambda a, b, x, y: 0.5 * ((a + b) % 2 == (x * y) % 2)),
         (boxes.tsirelson_box(), lambda a, b, x, y: 0.25 * (1.0 + (-1.0) ** (a + b) * tsirelson[x][y])),
         (boxes.correlator_box(e), lambda a, b, x, y: 0.25 * (1.0 + (-1.0) ** (a + b) * e[x, y])),

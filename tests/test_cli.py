@@ -16,6 +16,7 @@ from bellopt.inequalities import catalog, inequality_from_json
 from bellopt.sampling import Allocation, SamplingScheme
 from bellopt.simulate import counts_ensemble, run_ensemble
 from bellopt.sources import nv_distribution, spdc_distribution
+from fixtures import setting_copy_box, uniform_box
 
 
 def run_cli(*argv):
@@ -47,13 +48,13 @@ def test_catalog_unknown_name_fails(capsys):
 
 def test_decompose_reports_nonzero_components(tmp_path, capsys):
     inp = tmp_path / "sig.json"
-    inp.write_text(json.dumps(space.vector_to_json(boxes.setting_copy_box())))
+    inp.write_text(json.dumps(space.vector_to_json(setting_copy_box())))
     out = tmp_path / "report.json"
     assert run_cli("decompose", "--input", str(inp), "--output", str(out)) == 0
     report = read_json(out)
     assert set(report["nonzero"]) == {"NO1", "SI_to_B"}
     # golden equivalence with direct library calls
-    d = space.decompose(boxes.setting_copy_box())
+    d = space.decompose(setting_copy_box())
     for lbl, comp in report["components"].items():
         sub = space.Subspace(lbl)
         assert np.allclose(comp, d[sub], atol=0)
@@ -62,7 +63,7 @@ def test_decompose_reports_nonzero_components(tmp_path, capsys):
 
 def test_decompose_rejects_a_bad_tolerance(tmp_path, capsys):
     inp = tmp_path / "p.json"
-    inp.write_text(json.dumps(space.vector_to_json(boxes.setting_copy_box())))
+    inp.write_text(json.dumps(space.vector_to_json(setting_copy_box())))
     out = tmp_path / "report.json"
     for tol in ("nan", "-1", "inf"):
         assert run_cli("decompose", "--input", str(inp), "--tolerance", tol,
@@ -252,6 +253,44 @@ def test_optimize_accepts_the_photon_pair_rounded_to_twelve_digits(tmp_path):
     assert sd_after["rounded"] == pytest.approx(sd_after["full"], rel=1e-9)
 
 
+def test_optimize_reports_the_value_of_the_blocks_its_covariance_models(tmp_path):
+    # 9e-10 on cell 0 is accepted as rounding; the value, like sigma, comes
+    # from the renormalized blocks rather than the raw input
+    moved = spdc_distribution()
+    moved[0] += 9e-10
+    inp = tmp_path / "moved.json"
+    inp.write_text(json.dumps(space.vector_to_json(moved)))
+    value = {}
+    for name in ("CH", "EH"):
+        rep = tmp_path / f"{name}_report.json"
+        assert run_cli(
+            "optimize", "--input", str(inp), "--name", name, "--trials", "176000000",
+            "--output", str(tmp_path / "bstar.json"), "--report", str(rep),
+        ) == 0
+        value[name] = read_json(rep)["value"]
+    assert value["CH"] == catalog("CH").value(space.block_distributions(moved).ravel())
+    assert f"{value['CH']:.6g}" == "1.25188e-05"  # the raw input gives 1.25152e-05
+    # EH has no weight on cell 0: only the renormalization of its block moves it
+    assert value["EH"] == pytest.approx(catalog("EH").value(moved), rel=1e-8)
+
+
+@pytest.mark.parametrize("behavior", [boxes.pr_box(), boxes.local_vertex(0, 0, 0, 0),
+                                      nv_distribution()],
+                         ids=["pr_box", "local_vertex", "spin_pair"])
+def test_optimize_reports_a_sigma_ratio_only_for_a_positive_sd(tmp_path, capsys, behavior):
+    inp = tmp_path / "p.json"
+    inp.write_text(json.dumps(space.vector_to_json(behavior)))
+    rep = tmp_path / "report.json"
+    assert run_cli(
+        "optimize", "--input", str(inp), "--name", "CH", "--trials", "100",
+        "--output", str(tmp_path / "bstar.json"), "--report", str(rep),
+    ) == 0
+    report = read_json(rep)
+    present = [f"sigma_ratio_{when}" in report for when in ("before", "after")]
+    assert present == [report["sd_before"] > 0.0, report["sd_after"] > 0.0]
+    assert ("sigma ratio:" in capsys.readouterr().out) == all(present)
+
+
 def test_optimize_mc_covariance_deterministic(tmp_path):
     inp = tmp_path / "p.json"
     inp.write_text(json.dumps(space.vector_to_json(boxes.tsirelson_box())))
@@ -309,7 +348,7 @@ def test_simulate_artifacts_and_determinism(tmp_path):
 
 def test_simulate_rejects_a_repeated_name(tmp_path, capsys):
     inp = tmp_path / "p.json"
-    inp.write_text(json.dumps(space.vector_to_json(boxes.uniform_box())))
+    inp.write_text(json.dumps(space.vector_to_json(uniform_box())))
     hist = tmp_path / "hist.csv"
     assert run_cli("simulate", "--input", str(inp), "--name", "CH", "--name", "CH",
                    "--trials", "16", "--runs", "2", "--histogram-csv", str(hist)) == 2
@@ -341,7 +380,7 @@ def test_invalid_distribution_fails(tmp_path, capsys):
 
 def test_simulate_random_allocation_below_four_trials_fails(tmp_path, capsys):
     inp = tmp_path / "p.json"
-    inp.write_text(json.dumps(space.vector_to_json(boxes.uniform_box())))
+    inp.write_text(json.dumps(space.vector_to_json(uniform_box())))
     assert run_cli("simulate", "--input", str(inp), "--allocation", "random",
                    "--trials", "3", "--runs", "2") == 2
     err = json.loads(capsys.readouterr().err)
@@ -350,7 +389,7 @@ def test_simulate_random_allocation_below_four_trials_fails(tmp_path, capsys):
 
 def test_simulate_rejects_bad_bins_and_seed(tmp_path, capsys):
     inp = tmp_path / "p.json"
-    inp.write_text(json.dumps(space.vector_to_json(boxes.uniform_box())))
+    inp.write_text(json.dumps(space.vector_to_json(uniform_box())))
     hist = tmp_path / "hist.csv"
     for flags, message in ((("--bins", "0"), "bins must be at least 1, got 0"),
                            (("--bins", "-3"), "bins must be at least 1, got -3"),
@@ -369,7 +408,7 @@ def test_simulate_rejects_bad_bins_and_seed(tmp_path, capsys):
 
 def test_optimize_rejects_ambiguous_inequality_choice(tmp_path, capsys):
     inp = tmp_path / "p.json"
-    inp.write_text(json.dumps(space.vector_to_json(boxes.uniform_box())))
+    inp.write_text(json.dumps(space.vector_to_json(uniform_box())))
     ineq = tmp_path / "i.json"
     ineq.write_text(json.dumps({"coeffs": [0.0] * 16, "local_bound": 0.0}))
     assert run_cli("optimize", "--input", str(inp), "--name", "CH",

@@ -17,7 +17,10 @@ seed a generator or draw multinomial counts outside ``simulate``, whose
 chunked engine is the one sampler and owns the stream contract.  A seventh
 finds ``BEHAVIOR_TOL`` and ``clip`` named outside ``space``, whose
 ``block_distributions`` is the one statement of what an accepted behavior
-means.
+means.  An eighth finds public names in ``src/`` that only tests reach: each
+public top-level name and public method must be named somewhere else in
+``src/``, in ``bellopt.__all__``, in ``benchmarks/`` or in the acceptance
+suite; test-only helpers live in ``tests/fixtures.py``.
 """
 
 import ast
@@ -186,23 +189,15 @@ def test_src_has_no_loops_nested_four_deep():
 Q_BUILDERS = frozenset({"q_basis", "subspace_signs"})
 
 
-def q_builder_calls(source: str, exempt: frozenset = frozenset()) -> list[int]:
-    """Lines with a call to a ``Q_BUILDERS`` function, by bare or attribute
-    name, outside the functions named in ``exempt``."""
+def q_builder_calls(source: str) -> list[int]:
+    """Lines with a call to a ``Q_BUILDERS`` function, by bare or attribute name."""
     found = set()
-
-    def visit(node, inside_exempt):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in exempt:
-            inside_exempt = True
-        if isinstance(node, ast.Call) and not inside_exempt:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name in Q_BUILDERS:
                 found.add(node.lineno)
-        for child in ast.iter_child_nodes(node):
-            visit(child, inside_exempt)
-
-    visit(ast.parse(source), False)
     return sorted(found)
 
 
@@ -219,19 +214,14 @@ def test_scan_flags_q_vectors_built_outside_space():
         "    return [subspace_signs(b) for b in BLOCKS]\n"
     )
     assert q_builder_calls(source) == [3, 4, 7, 9]
-    assert q_builder_calls(source, frozenset({"spans_subspace"})) == [3, 4, 9]
 
 
 def test_only_space_builds_q_vectors():
-    # relabel.spans_subspace builds its own span on purpose: it is the oracle
-    # that verify_invariance is tested against
     files = [path for path in sorted((ROOT / "src").rglob("*.py")) if path.name != "space.py"]
     assert files
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path in files
-             for line in q_builder_calls(
-                 path.read_text(),
-                 frozenset({"spans_subspace"}) if path.name == "relabel.py" else frozenset())]
+             for line in q_builder_calls(path.read_text())]
     assert found == []
 
 
@@ -365,3 +355,101 @@ def test_only_simulate_samples():
              for path in files
              for line in sampler_calls(path.read_text())]
     assert found == []
+
+
+#: public names no other place names, kept on purpose: the group operation,
+#: which is the oracle of ``relabel._compose_codes``, and the one covariance
+#: validator a caller can run
+UNCALLED_BY_DESIGN = frozenset({"relabel.Relabeling.compose", "variance.check_covariance"})
+
+
+def public_definitions(source: str) -> list[tuple[str, int, int]]:
+    """(qualified name, first line, last line) of each public top-level name
+    and each public method of a top-level class."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, ast.Assign):
+            found += [(t.id, node) for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.append((node.target.id, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", item) for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(name, node.lineno, node.end_lineno) for name, node in found
+            if not name.rpartition(".")[2].startswith("_")]
+
+
+def referenced_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every bare name, attribute and imported name in
+    ``source``, and of every entry of its ``__all__``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.end_lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(alias.lineno, alias.name) for alias in node.names]
+        elif (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            found += [(node.lineno, name) for name in ast.literal_eval(node.value)]
+    return found
+
+
+def unreferenced_names(modules: dict[str, str], users: list[str]) -> list[str]:
+    """``module.name`` of each public definition in ``modules`` (module name to
+    source) that no source in ``users`` names and no place in ``modules``
+    outside the definition itself names.  Names match by spelling alone, so a
+    dead name that shares its spelling with a live one goes unflagged."""
+    used = {name for source in users for _, name in referenced_names(source)}
+    names = {module: referenced_names(source) for module, source in modules.items()}
+    found = []
+    for module, source in modules.items():
+        for qualified, first, last in public_definitions(source):
+            name = qualified.rpartition(".")[2]
+            if name in used or any(
+                    n == name and (m != module or not first <= line <= last)
+                    for m, refs in names.items() for line, n in refs):
+                continue
+            found.append(f"{module}.{qualified}")
+    return found
+
+
+def test_scan_flags_public_names_only_tests_reach():
+    modules = {
+        "space": (
+            "DIM = 16\n"
+            "_SCALE: float = 2.0\n"
+            "LABELS: tuple = ()\n"
+            "__all__ = ['exported']\n"
+            "def exported():\n"
+            "    return DIM\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+            "def bench_only():\n"
+            "    pass\n"
+            "class Box:\n"
+            "    def value(self):\n"
+            "        return _SCALE\n"
+            "    def unused(self):\n"
+            "        return self.unused()\n"
+            "    def _private(self):\n"
+            "        pass\n"
+        ),
+        "cli": "from .space import Box\nprint(Box().value())\n",
+    }
+    users = ["from bellopt import space\nspace.bench_only()\n"]
+    assert unreferenced_names(modules, users) == [
+        "space.LABELS", "space.recursive", "space.Box.unused"]
+
+
+def test_every_public_name_in_src_has_a_caller():
+    # the unit tests do not count as callers: a name that only they reach
+    # belongs in tests/fixtures.py
+    modules = {path.stem: path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))}
+    users = [path.read_text() for path in sorted((ROOT / "benchmarks").rglob("*.py"))]
+    users.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    # an entry that gains a caller or goes away leaves the set
+    assert sorted(unreferenced_names(modules, users)) == sorted(UNCALLED_BY_DESIGN)

@@ -38,6 +38,7 @@ from bellopt.space import (
     vector_index,
 )
 from bellopt.variance import analytic_covariance, optimal_variant
+from fixtures import biased_marginal_box
 
 
 def test_catalog_names():
@@ -339,4 +340,4 @@ def test_inequality_validation():
 
 def test_biased_box_validation():
     with pytest.raises(ValueError):
-        boxes.biased_marginal_box(1.5)
+        biased_marginal_box(1.5)

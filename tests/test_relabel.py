@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bellopt import boxes, relabel
 from bellopt.inequalities import BellInequality, catalog, deterministic_maximum, ns_equivalent
 from bellopt.relabel import (
-    GLOBAL_OUTCOME_FLIP,
     IDENTITY,
     INVARIANT_BLOCKS,
     PartyRelabeling,
@@ -23,10 +22,11 @@ from bellopt.relabel import (
     group_axioms_hold,
     matrix_of,
     permutation_of,
-    spans_subspace,
     verify_invariance,
 )
-from bellopt.sampling import SamplingScheme
+from bellopt.sampling import Allocation, SamplingScheme
+from bellopt.simulate import counts_ensemble
+from bellopt.sources import nv_distribution
 from bellopt.space import (
     DIM,
     Subspace,
@@ -37,6 +37,7 @@ from bellopt.space import (
     vector_index,
 )
 from bellopt.variance import analytic_covariance, optimal_variant, std_dev
+from fixtures import GLOBAL_OUTCOME_FLIP, shared_coin_box, spans_subspace
 
 SIGNS = (1, -1)
 
@@ -161,8 +162,8 @@ def test_outcome_flip_on_first_setting_example(rng):
 
 
 def test_global_outcome_flip_fixes_no_plus_corr():
-    assert np.allclose(act(GLOBAL_OUTCOME_FLIP, boxes.shared_coin_box()),
-                       boxes.shared_coin_box(), atol=0)
+    assert np.allclose(act(GLOBAL_OUTCOME_FLIP, shared_coin_box()),
+                       shared_coin_box(), atol=0)
     assert np.allclose(act(GLOBAL_OUTCOME_FLIP, boxes.tsirelson_box()),
                        boxes.tsirelson_box(), atol=1e-15)
 
@@ -365,6 +366,20 @@ def test_core_maps_commute_with_every_relabeling(seed, name, trials):
         assert [[ns_equivalent(b1, b2) for b2 in grivals] for b1 in grivals] == verdicts
         assert deterministic_maximum(_acted(g, beta)) == pytest.approx(
             deterministic_maximum(beta), abs=1e-14)
+
+
+@pytest.mark.parametrize("allocation", list(Allocation), ids=lambda a: a.value)
+def test_sampler_commutes_with_relabelings_in_distribution(allocation):
+    # the stream contract draws the blocks in index order, so relabeled counts
+    # match only in distribution: over every 16th element, the mean counts of
+    # g p equal g of the mean counts of p to 6 combined standard errors per cell
+    p, scheme, runs = nv_distribution(), SamplingScheme(244, allocation), 20_000
+    counts, _ = counts_ensemble(p, scheme, runs, seed=0)
+    mean, var_of_mean = counts.mean(axis=0), counts.var(axis=0, ddof=1) / runs
+    for seed, g in enumerate(enumerate_group()[::16], start=1):
+        gcounts, _ = counts_ensemble(act(g, p), scheme, runs, seed=seed)
+        se = np.sqrt(gcounts.var(axis=0, ddof=1) / runs + act(g, var_of_mean))
+        assert np.all(np.abs(gcounts.mean(axis=0) - act(g, mean)) <= 6 * se)
 
 
 def test_fixed_allocation_at_245_trials_is_not_equivariant(rng):

@@ -28,13 +28,13 @@ from bellopt.space import (
     DIM,
     Subspace,
     block_distributions,
-    block_indices,
     check_distribution,
     decompose,
     q_basis,
     vector_index,
 )
 from bellopt.variance import analytic_covariance, mc_covariance, std_dev
+from fixtures import block_indices, uniform_box
 from strategies import accepted_behaviors
 
 
@@ -242,7 +242,7 @@ def test_a_failing_chunk_is_raised_and_no_thread_outlives_the_call(monkeypatch, 
     monkeypatch.setattr(SamplingScheme, "block_counts", failing)
     before = threading.active_count()
     with pytest.raises(error, match="injected"):
-        counts_ensemble(boxes.uniform_box(), SamplingScheme(64), runs=4 * CHUNK, seed=1)
+        counts_ensemble(uniform_box(), SamplingScheme(64), runs=4 * CHUNK, seed=1)
     assert threading.active_count() == before
 
 
@@ -269,7 +269,7 @@ def test_an_interrupt_while_waiting_for_the_workers_stops_them(monkeypatch):
     monkeypatch.setattr(threading.Thread, "join", interrupted)
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
-        counts_ensemble(boxes.uniform_box(), SamplingScheme(64), runs=40 * CHUNK, seed=1)
+        counts_ensemble(uniform_box(), SamplingScheme(64), runs=40 * CHUNK, seed=1)
     assert threading.active_count() == before
     assert len(worker_chunks) < 20  # it stopped before drawing all of its chunks
 
@@ -281,10 +281,10 @@ def test_one_chunk_starts_no_thread(monkeypatch):
     monkeypatch.setattr(simulate, "WORKERS", 8)
     monkeypatch.setattr(simulate.threading, "Thread", no_thread)
     before = threading.active_count()
-    counts, _ = counts_ensemble(boxes.uniform_box(), SamplingScheme(64), runs=CHUNK, seed=1)
+    counts, _ = counts_ensemble(uniform_box(), SamplingScheme(64), runs=CHUNK, seed=1)
     assert counts.shape == (CHUNK, 16)
     with pytest.raises(AssertionError, match="thread was started"):  # two chunks would
-        counts_ensemble(boxes.uniform_box(), SamplingScheme(64), runs=CHUNK + 1, seed=1)
+        counts_ensemble(uniform_box(), SamplingScheme(64), runs=CHUNK + 1, seed=1)
     assert threading.active_count() == before
 
 
@@ -405,7 +405,7 @@ def test_shares_and_counts_match_the_clip_and_divide_oracle(p, allocation, seed)
 
 def test_uniform_random_allocation_rejects_empty_blocks():
     # tiny trial counts make empty setting blocks likely; they are redrawn
-    p = boxes.uniform_box()
+    p = uniform_box()
     scheme = SamplingScheme(5, Allocation.UNIFORM_RANDOM)
     counts, rejections = counts_ensemble(p, scheme, runs=300, seed=2)
     assert rejections > 0
@@ -426,7 +426,7 @@ def test_uniform_random_allocation_below_four_trials_raises():
 
 def test_ensemble_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="seed must be nonnegative, got -5"):
-        counts_ensemble(boxes.uniform_box(), SamplingScheme(16), runs=2, seed=-5)
+        counts_ensemble(uniform_box(), SamplingScheme(16), runs=2, seed=-5)
 
 
 def test_report_summary_recomputable():

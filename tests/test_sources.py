@@ -32,7 +32,8 @@ from bellopt.sources import (
     spdc_reference_angles,
     two_qubit_state,
 )
-from bellopt.space import correlator, is_nonsignaling, vector_index
+from bellopt.space import is_nonsignaling, vector_index
+from fixtures import correlator, symmetrized
 from reference_data import (
     CHSH_UNSHIFTED_VALUE,
     P1_DISPLAY,
@@ -161,7 +162,7 @@ def test_nv_symmetric_idealization_is_flip_symmetric():
 
 
 def test_readout_symmetrization_gives_flip_symmetric_behavior():
-    p = nv_distribution(readout=ReadoutModel().symmetrized())
+    p = nv_distribution(readout=symmetrized(ReadoutModel()))
     for a in range(2):
         for b in range(2):
             for x in range(2):

@@ -24,15 +24,10 @@ from bellopt.space import (
     as_vector,
     basis,
     bell_value,
-    block_indices,
     check_distribution,
-    correlator,
-    correlator_pattern,
     decompose,
     is_distribution,
     is_nonsignaling,
-    marginal_a,
-    marginal_b,
     project,
     projector,
     projector_stack,
@@ -41,6 +36,17 @@ from bellopt.space import (
     vector_from_json,
     vector_index,
     vector_to_json,
+)
+from fixtures import (
+    biased_marginal_box,
+    block_indices,
+    correlator,
+    correlator_pattern,
+    marginal_a,
+    marginal_b,
+    setting_copy_box,
+    shared_coin_box,
+    uniform_box,
 )
 
 SIGNS = (1, -1)
@@ -58,7 +64,7 @@ def test_vector_index_layout():
 
 
 def test_index_labels_match_the_layout():
-    from bellopt.space import INDEX_LABELS
+    from fixtures import INDEX_LABELS
 
     assert len(INDEX_LABELS) == 16
     for a, b, x, y in itertools.product(range(2), repeat=4):
@@ -105,7 +111,7 @@ def test_q_basis_orthogonality_all_pairs():
 
 
 def test_alpha_of_uniform_distribution():
-    alpha = alpha_coefficients(boxes.uniform_box())
+    alpha = alpha_coefficients(uniform_box())
     assert alpha[(1, 1, 1, 1)] == pytest.approx(0.25, abs=1e-15)
     for s in ALL_SIGN_TUPLES:
         if s != (1, 1, 1, 1):
@@ -119,7 +125,7 @@ def test_alpha_picks_out_single_q_vector():
 
 
 def test_alpha_of_shared_coin():
-    alpha = alpha_coefficients(boxes.shared_coin_box())
+    alpha = alpha_coefficients(shared_coin_box())
     assert alpha[(1, 1, 1, 1)] == pytest.approx(0.25, abs=1e-15)
     assert alpha[(-1, -1, 1, 1)] == pytest.approx(0.25, abs=1e-15)
     others = [s for s in ALL_SIGN_TUPLES if s not in ((1, 1, 1, 1), (-1, -1, 1, 1))]
@@ -313,7 +319,7 @@ def test_normalized_distribution_has_uniform_no_part(rng):
 
 
 def test_decompose_bias_box():
-    d = decompose(boxes.biased_marginal_box())
+    d = decompose(biased_marginal_box())
     assert np.max(np.abs(d[Subspace.MARG_B] - (-0.125) * q_basis(1, -1, 1, 1))) < 1e-12
     for s in (Subspace.MARG_A, Subspace.CORR, Subspace.SI_TO_A, Subspace.SI_TO_B,
               Subspace.NO2, Subspace.NO3):
@@ -339,7 +345,7 @@ def test_decompose_zero_vector():
 
 
 def test_nonzero_labels_tolerance():
-    d = decompose(boxes.setting_copy_box())
+    d = decompose(setting_copy_box())
     assert set(d.nonzero_labels()) == {Subspace.NO1, Subspace.SI_TO_B}
     assert d.nonzero_labels(0.0) == d.nonzero_labels()  # the other norms are exactly 0
     assert d.nonzero_labels(10.0) == ()
@@ -349,7 +355,7 @@ def test_nonzero_labels_tolerance():
 
 
 def test_setting_copy_box_is_pure_b_signaling():
-    p = boxes.setting_copy_box()
+    p = setting_copy_box()
     d = decompose(p)
     assert np.max(np.abs(d[Subspace.SI_TO_B] - 0.25 * q_basis(1, -1, -1, 1))) < 1e-12
     assert np.linalg.norm(d[Subspace.SI_TO_A]) < 1e-12
@@ -446,9 +452,9 @@ def test_correlator_box_validation():
 
 
 def test_distribution_predicates():
-    assert is_distribution(boxes.uniform_box(), tol=ATOL_EXACT)
+    assert is_distribution(uniform_box(), tol=ATOL_EXACT)
     assert not is_distribution(np.full(DIM, 0.3))
-    bad = boxes.uniform_box()
+    bad = uniform_box()
     bad[0] = -0.1
     bad[1] = 0.6
     assert not is_distribution(bad)
@@ -457,7 +463,7 @@ def test_distribution_predicates():
 def test_check_distribution_reports_the_first_bad_block():
     # blocks (0,1) and (1,0) are both off; (0,1) comes first in the order
     # (0,0), (0,1), (1,0), (1,1), though its block id x + 2y is the larger
-    v = boxes.uniform_box()
+    v = uniform_box()
     v[block_indices(0, 1)] = 0.5
     v[block_indices(1, 0)] = 0.375
     with pytest.raises(ValueError) as exc:
@@ -466,7 +472,7 @@ def test_check_distribution_reports_the_first_bad_block():
 
 
 def test_check_distribution_reports_a_negative_entry_first():
-    bad = boxes.uniform_box()
+    bad = uniform_box()
     bad[0] = -0.1
     bad[1] = 0.6
     bad[block_indices(1, 1)] = 0.5

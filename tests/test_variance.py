@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from bellopt import boxes
 from bellopt.inequalities import BellInequality, catalog, ns_equivalent
-from bellopt.relabel import GLOBAL_OUTCOME_FLIP, act, enumerate_group, matrix_of
+from bellopt.relabel import act, enumerate_group, matrix_of
 from bellopt.sampling import Allocation, SamplingScheme
 from bellopt.sources import nv_symmetric_distribution, spdc_distribution
 from bellopt.space import (
     DIM,
     Subspace,
     basis,
-    block_indices,
     check_distribution,
     decompose,
     projector,
@@ -35,6 +34,7 @@ from bellopt.variance import (
     sigma_ratio,
     std_dev,
 )
+from fixtures import GLOBAL_OUTCOME_FLIP, block_indices, uniform_box
 from strategies import accepted_behaviors
 
 PI_SI = projector(Subspace.SI)
@@ -68,7 +68,7 @@ def test_scheme_refuses_a_non_integral_trial_count():
 
 def test_analytic_covariance_uniform():
     n = 25
-    sigma = analytic_covariance(boxes.uniform_box(), SamplingScheme(4 * n))
+    sigma = analytic_covariance(uniform_box(), SamplingScheme(4 * n))
     for x in range(2):
         for y in range(2):
             idx = block_indices(x, y)
@@ -195,7 +195,7 @@ def test_block_counts_edges():
 
 def test_analytic_covariance_requires_fixed_allocation():
     with pytest.raises(ValueError):
-        analytic_covariance(boxes.uniform_box(),
+        analytic_covariance(uniform_box(),
                             SamplingScheme(100, Allocation.UNIFORM_RANDOM))
 
 
@@ -295,7 +295,7 @@ def test_check_covariance_at_the_photon_pair_scale():
 
 
 def test_mc_covariance_converges_to_analytic():
-    p = boxes.uniform_box()
+    p = uniform_box()
     scheme = SamplingScheme(400)
     exact = analytic_covariance(p, scheme)
     approx = mc_covariance(p, scheme, runs=100_000, seed=7)
