@@ -144,11 +144,7 @@ def cmd_optimize(args) -> int:
     from . import variance
     p = _load_behavior(args.input)
     (beta,) = _inequalities(args)
-    scheme = _scheme(args)
-    if args.cov == "analytic":
-        sigma = variance.analytic_covariance(p, scheme)
-    else:
-        sigma, rejections = variance.mc_covariance_draws(p, scheme, args.runs, args.seed)
+    sigma = variance.analytic_covariance(p, _scheme(args))
     bstar = variance.optimal_variant(beta, sigma)
     sd_before = variance.std_dev(beta, sigma)
     sd_after = variance.std_dev(bstar, sigma)
@@ -166,8 +162,6 @@ def cmd_optimize(args) -> int:
         "sd_after": sd_after,
         **ratios,
     }
-    if args.cov == "mc":
-        report["rejected_draws"] = rejections
     print(f"value = {value:.6g}")
     print(f"sd: {sd_before:.6g} -> {sd_after:.6g}")
     if len(ratios) == 2:
@@ -262,18 +256,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inequality JSON file (simulate: repeatable)")
     shared.add_argument("--trials", type=int, required=True)
     shared.add_argument("--allocation", choices=[a.value for a in Allocation], default="fixed")
-    shared.add_argument("--seed", type=int, default=0)
 
     o = sub.add_parser("optimize", parents=[shared],
                        help="compute the minimal-variance variant of an inequality")
-    o.add_argument("--cov", choices=("analytic", "mc"), default="analytic")
-    o.add_argument("--runs", type=int, default=2000, help="runs for --cov mc")
+    o.add_argument("--cov", choices=("analytic",), default="analytic",
+                   help="the exact covariance, the only value, kept so old command lines parse")
     o.add_argument("--output", help="write the optimal variant JSON here (default stdout)")
     o.add_argument("--report", help="write the sd/ratio report JSON here")
     o.set_defaults(func=cmd_optimize)
 
     s = sub.add_parser("simulate", parents=[shared], help="simulate finite-trial run ensembles")
     s.add_argument("--runs", type=int, required=True)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--bins", type=int, default=80)
     s.add_argument("--histogram-csv", help="write a shared-binning histogram CSV")
     s.add_argument("--values-csv", help="write raw per-run values CSV")

@@ -1,9 +1,9 @@
 """Estimator covariance and the minimal-variance variant of a Bell inequality.
 
 A run of N trials estimates the behavior by per-block relative frequencies.
-Those estimates fluctuate; within each setting block the counts are
-multinomial, so for a deterministic allocation the covariance of the
-frequency vector is block-diagonal with the standard multinomial form.  The
+Those estimates fluctuate; given the block totals, each block's counts are
+an independent multinomial, so the covariance of the frequency vector is
+block-diagonal with the standard multinomial form over 1 / E[1 / N(xy)].  The
 variance of an inequality value I = beta . P_hat is the quadratic form
 beta^T Sigma beta, and only the signaling components of beta are free to
 change without touching the value on nonsignaling behaviors, so minimizing
@@ -63,17 +63,17 @@ def _checked_covariance(sigma) -> tuple[np.ndarray, float]:
 
 
 def analytic_covariance(p, scheme: SamplingScheme) -> np.ndarray:
-    """Multinomial covariance of the frequency estimator, fixed allocation.
+    """Multinomial covariance of the frequency estimator, either allocation.
 
     Sigma = (diag q - M o q q^T) / n, where q is ``space.block_distributions(p)``
     as a 16-vector: p with its tolerance-level negatives set to 0 and each block
-    divided by its sum, the blocks the sampler draws from.  n is each cell's
-    block count and M the 0/1 mask of cell pairs in one setting block.
+    divided by its sum, the blocks the sampler draws from.  n is 1 / E[1 / N(xy)]
+    of each cell's block, ``scheme.effective_block_counts()``; M is the 0/1 same-block mask.
     """
     q = block_distributions(p).reshape(DIM)
     sigma = np.subtract(0.0, _SAME_BLOCK * q * q[:, None])  # 0 - x, not -x, keeps +0.0
     sigma.flat[::DIM + 1] += q
-    sigma /= np.array(scheme.block_counts(), dtype=float).repeat(4)[:, None]
+    sigma /= np.array(scheme.effective_block_counts(), dtype=float).repeat(4)[:, None]
     return sigma
 
 
@@ -84,16 +84,11 @@ def mc_covariance(p, scheme: SamplingScheme, runs: int, seed: int) -> np.ndarray
     ``simulate.CHUNK``, chunk c from the stream (seed, c).
     Degenerate samples produce the zero matrix.
     """
-    return mc_covariance_draws(p, scheme, runs, seed)[0]
-
-
-def mc_covariance_draws(p, scheme: SamplingScheme, runs: int, seed: int) -> tuple[np.ndarray, int]:
-    """``mc_covariance`` and the number of draws rejected for an empty block."""
     from . import simulate  # only the Monte-Carlo covariance samples
     if runs < 2:
         raise ValueError("need at least two runs for a sample covariance")
-    counts, rejections = simulate.counts_ensemble(p, scheme, runs, seed)
-    return np.cov(simulate.frequencies(counts), rowvar=False, ddof=1), rejections
+    counts, _ = simulate.counts_ensemble(p, scheme, runs, seed)
+    return np.cov(simulate.frequencies(counts), rowvar=False, ddof=1)
 
 
 def std_dev(beta, sigma) -> float:

@@ -14,7 +14,7 @@ from bellopt import boxes, relabel, sources, space, variance
 from bellopt.cli import main
 from bellopt.inequalities import catalog, inequality_from_json
 from bellopt.sampling import Allocation, SamplingScheme
-from bellopt.simulate import counts_ensemble, run_ensemble
+from bellopt.simulate import run_ensemble
 from bellopt.sources import nv_distribution, spdc_distribution
 from fixtures import setting_copy_box, uniform_box
 
@@ -191,9 +191,13 @@ _NOT_RUN = {"bellopt.relabel", "bellopt.simulate", "bellopt.sources", "bellopt.v
     (["decompose", "--input", "p1.json", "--output", "report.json"], _NOT_RUN),
     (["optimize", "--input", "p1.json", "--name", "CH", "--trials", "245",
       "--output", "bstar.json"], {"bellopt.relabel", "bellopt.simulate", "bellopt.sources"}),
+    (["optimize", "--input", "p1.json", "--name", "CH", "--trials", "245", "--allocation",
+      "random", "--output", "bstar.json"],
+     {"bellopt.relabel", "bellopt.simulate", "bellopt.sources"}),
     (["simulate", "--input", "p1.json", "--trials", "245", "--runs", "20"],
      {"bellopt.relabel", "bellopt.sources", "bellopt.variance"}),
-], ids=["group-verify", "catalog", "model-nv", "decompose", "optimize", "simulate"])
+], ids=["group-verify", "catalog", "model-nv", "decompose", "optimize", "optimize-random",
+        "simulate"])
 def test_commands_load_only_what_they_run(argv, absent, tmp_path):
     (tmp_path / "p1.json").write_text(json.dumps(space.vector_to_json(nv_distribution())))
     src = Path(__file__).resolve().parents[1] / "src"
@@ -291,33 +295,31 @@ def test_optimize_reports_a_sigma_ratio_only_for_a_positive_sd(tmp_path, capsys,
     assert ("sigma ratio:" in capsys.readouterr().out) == all(present)
 
 
-def test_optimize_mc_covariance_deterministic(tmp_path):
-    inp = tmp_path / "p.json"
-    inp.write_text(json.dumps(space.vector_to_json(boxes.tsirelson_box())))
-    outs = []
-    for k in range(2):
-        out = tmp_path / f"b{k}.json"
-        assert run_cli(
-            "optimize", "--input", str(inp), "--name", "CH", "--trials", "100",
-            "--cov", "mc", "--runs", "400", "--seed", "9", "--output", str(out),
-        ) == 0
-        outs.append(out.read_text())
-    assert outs[0] == outs[1]
-
-
-def test_optimize_mc_report_counts_rejected_draws(tmp_path):
+@pytest.mark.parametrize("trials", [245, 176_000_000])
+def test_optimize_random_allocation_uses_the_exact_covariance(tmp_path, trials):
     inp = tmp_path / "p1.json"
     inp.write_text(json.dumps(space.vector_to_json(nv_distribution())))
-    rep = tmp_path / "report.json"
+    out, rep = tmp_path / "bstar.json", tmp_path / "report.json"
     assert run_cli(
-        "optimize", "--input", str(inp), "--name", "CH", "--trials", "6", "--cov", "mc",
-        "--allocation", "random", "--runs", "300", "--seed", "2",
-        "--output", str(tmp_path / "bstar.json"), "--report", str(rep),
+        "optimize", "--input", str(inp), "--name", "CH", "--trials", str(trials),
+        "--allocation", "random", "--cov", "analytic", "--output", str(out), "--report", str(rep),
     ) == 0
-    scheme = SamplingScheme(6, Allocation.UNIFORM_RANDOM)
-    _, rejections = counts_ensemble(nv_distribution(), scheme, 300, 2)
-    assert rejections > 0
-    assert read_json(rep)["rejected_draws"] == rejections
+    sigma = variance.analytic_covariance(nv_distribution(),
+                                         SamplingScheme(trials, Allocation.UNIFORM_RANDOM))
+    expected = variance.optimal_variant(catalog("CH"), sigma)
+    assert np.array_equal(inequality_from_json(read_json(out)).coeffs, expected.coeffs)
+    report = read_json(rep)
+    assert report["covariance"] == "analytic" and "rejected_draws" not in report
+    assert report["sd_after"] == variance.std_dev(expected, sigma)
+
+
+@pytest.mark.parametrize("flags", [("--cov", "mc"), ("--runs", "400"), ("--seed", "9")])
+def test_optimize_has_no_monte_carlo_options(tmp_path, capsys, flags):
+    inp = tmp_path / "p.json"
+    inp.write_text(json.dumps(space.vector_to_json(uniform_box())))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("optimize", "--input", str(inp), "--name", "CH", "--trials", "100", *flags)
+    assert exc.value.code == 2 and flags[0] in capsys.readouterr().err
 
 
 def test_simulate_artifacts_and_determinism(tmp_path):
@@ -400,10 +402,18 @@ def test_simulate_rejects_bad_bins_and_seed(tmp_path, capsys):
         assert captured.out == ""  # refused before any run is drawn
         assert json.loads(captured.err) == {"error": "ValueError", "message": message}
         assert not hist.exists()
-    assert run_cli("optimize", "--input", str(inp), "--name", "CH", "--trials", "16",
-                   "--cov", "mc", "--runs", "10", "--seed", "-5") == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ValueError", "message": "seed must be nonnegative, got -5"}
+
+
+@pytest.mark.parametrize("allocation", [a.value for a in Allocation])
+def test_simulate_refuses_a_trial_count_beyond_int64(tmp_path, capsys, allocation):
+    inp = tmp_path / "p.json"
+    inp.write_text(json.dumps(space.vector_to_json(uniform_box())))
+    assert run_cli("simulate", "--input", str(inp), "--allocation", allocation,
+                   "--trials", str(10**20), "--runs", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError", "message": f"a run draws at most 2**63 - 1 trials, got {10**20}"}
 
 
 def test_optimize_rejects_ambiguous_inequality_choice(tmp_path, capsys):

@@ -49,11 +49,11 @@ CHAIN = (
      ["optimize", "--input", "{d}/p2.json", "--name", "EH", "--trials", "176000000",
       "--cov", "analytic", "--output", "{d}/opt.json", "--report", "{d}/opt-report.json"],
      ["opt.json", "opt-report.json"]),
-    ("optimize mc",
+    ("optimize random",
      ["optimize", "--input", "{d}/p2.json", "--name", "EH", "--trials", "176000000",
-      "--cov", "mc", "--allocation", "random", "--runs", "1000", "--seed", "3",
-      "--output", "{d}/opt-mc.json", "--report", "{d}/opt-mc-report.json"],
-     ["opt-mc.json", "opt-mc-report.json"]),
+      "--cov", "analytic", "--allocation", "random",
+      "--output", "{d}/opt-random.json", "--report", "{d}/opt-random-report.json"],
+     ["opt-random.json", "opt-random-report.json"]),
     ("simulate",
      ["simulate", "--input", "{d}/p1.json", "--name", "CHSH", "--name", "CH",
       "--trials", "245", "--runs", "200", "--seed", "1", "--histogram-csv", "{d}/hist.csv",

@@ -400,3 +400,23 @@ def test_fixed_allocation_at_245_trials_is_not_equivariant(rng):
             moved.append(dev / np.max(np.abs(S)))
     assert len(moved) == 96
     assert 1e-3 < min(moved) and max(moved) < 2e-2
+
+
+def test_random_allocation_at_245_trials_is_equivariant(rng):
+    # every block has the same weight 1 / E[1/N(xy)] under random allocation,
+    # so, unlike fixed allocation at 245 trials, Sigma(gp) = M Sigma M^T for
+    # all 128 relabelings and the optimum commutes with each of them
+    p = boxes.random_nonsignaling(rng)
+    scheme = SamplingScheme(245, Allocation.UNIFORM_RANDOM)
+    S = analytic_covariance(p, scheme)
+    betas = [catalog(name) for name in ("CHSH", "CH", "EH")]
+    stars = [optimal_variant(beta, S) for beta in betas]
+    for g in enumerate_group():
+        M = matrix_of(g)
+        gS = M @ S @ M.T
+        assert np.max(np.abs(analytic_covariance(act(g, p), scheme) - gS)) <= 1e-15 * np.max(np.abs(S))
+        for beta, bstar in zip(betas, stars):
+            gstar = optimal_variant(_acted(g, beta), gS)
+            assert (np.max(np.abs(gstar.coeffs - act(g, bstar.coeffs)))
+                    <= 1e-14 * np.max(np.abs(bstar.coeffs)))
+            assert std_dev(gstar, gS) == pytest.approx(std_dev(bstar, S), rel=1e-14)

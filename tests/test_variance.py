@@ -2,6 +2,7 @@
 
 import functools
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from bellopt import boxes
 from bellopt.inequalities import BellInequality, catalog, ns_equivalent
 from bellopt.relabel import act, enumerate_group, matrix_of
-from bellopt.sampling import Allocation, SamplingScheme
+from bellopt.sampling import _SERIES_FROM, Allocation, SamplingScheme
 from bellopt.sources import nv_symmetric_distribution, spdc_distribution
 from bellopt.space import (
     DIM,
@@ -193,10 +194,116 @@ def test_block_counts_edges():
         SamplingScheme(10, Allocation.UNIFORM_RANDOM).block_counts()
 
 
-def test_analytic_covariance_requires_fixed_allocation():
-    with pytest.raises(ValueError):
-        analytic_covariance(uniform_box(),
-                            SamplingScheme(100, Allocation.UNIFORM_RANDOM))
+def test_scheme_refuses_a_trial_count_beyond_int64():
+    # the sampler's multinomial draws take int64 totals; 2**63 - 1 itself draws
+    for allocation in Allocation:
+        assert SamplingScheme(2**63 - 1, allocation).n_trials == 2**63 - 1
+        for n in (2**63, 10**20, np.uint64(2**64 - 1)):
+            message = f"a run draws at most 2**63 - 1 trials, got {n}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SamplingScheme(n, allocation)
+
+
+# --- the covariance under uniform-random allocation -------------------------
+
+def _random_divisor(n):
+    return SamplingScheme(n, Allocation.UNIFORM_RANDOM).effective_block_counts()
+
+
+def _enumerated_weight(n):
+    # E[1/N_0 | no block empty] by enumerating every block-total vector of
+    # multinomial(n, 1/4); the common factor 4^-n cancels
+    from itertools import product
+    from math import factorial, prod
+
+    num = den = Fraction(0)
+    for totals in product(range(1, n), repeat=3):
+        last = n - sum(totals)
+        if last >= 1:
+            ways = factorial(n) // (factorial(last) * prod(map(factorial, totals)))
+            num += Fraction(ways, totals[0])
+            den += ways
+    return num / den
+
+
+def _summed_weight(n):
+    # the same expectation summed exactly over N_0 = m: C(n, m) 3^(n-m) times
+    # the share of the other n - m trials that fill all three blocks,
+    # 1 - 3 (2/3)^r + 3 (1/3)^r, in integers
+    from math import comb, lcm
+
+    terms = [(comb(n, m) * (3 ** (n - m) - 3 * 2 ** (n - m) + 3), m) for m in range(1, n)]
+    scale = lcm(*range(1, n))
+    return Fraction(sum(t * (scale // m) for t, m in terms), scale * sum(t for t, _ in terms))
+
+
+def test_random_allocation_divisor_matches_enumeration():
+    assert _summed_weight(8) == _enumerated_weight(8)
+    for n in range(4, 17):
+        divisors = _random_divisor(n)
+        assert len(set(divisors)) == 1  # every block has the same weight
+        exact = 1 / _enumerated_weight(n)
+        assert abs(divisors[0] - exact) <= 1e-14 * exact
+        assert n / (4 * divisors[0]) >= 1.0  # Jensen: E[1/N_0] >= 1/E[N_0] = 4/n
+    assert _random_divisor(4) == (1.0,) * 4  # four trials fill four blocks one each
+    assert 8 / (4 * _random_divisor(8)[0]) == pytest.approx(1.2495199, abs=1e-7)
+
+
+def test_random_allocation_divisor_is_exact_across_the_series_switch():
+    # below _SERIES_FROM the divisor is summed, from it on taken from the series
+    for n in (_SERIES_FROM - 2, _SERIES_FROM - 1, _SERIES_FROM, _SERIES_FROM + 1):
+        exact = 1 / _summed_weight(n)
+        assert abs(_random_divisor(n)[0] - exact) <= 1e-14 * exact
+    for n, factor in ((245, 1.0126106), (10**4, 1.0003002)):
+        assert n / (4 * _random_divisor(n)[0]) == pytest.approx(factor, abs=1e-7)
+    # N w / 4 = 1 + 3/N + 21/N^2 + 219/N^3 + 3045/N^4 + ...
+    factor = 10**4 / (4 * _random_divisor(10**4)[0])
+    assert factor - (1 + 3e-4 + 21e-8) == pytest.approx(219e-12, rel=1e-2)
+    for n in (176_000_000, np.int64(176_000_000)):
+        factor = n / (4 * _random_divisor(n)[0])
+        assert (factor - 1) * n / 3 == pytest.approx(1.0, rel=1e-6)
+    assert _random_divisor(2**63 - 1) == (2.0**61,) * 4  # 3/N is below an ulp of 1
+
+
+@pytest.mark.parametrize("trials", [8, 244, 10**4, 176_000_000])
+def test_random_allocation_scales_the_fixed_covariance_when_four_divides_n(trials):
+    # equal block counts: Sigma_random = (N w / 4) Sigma_fixed, one scalar, so
+    # the optimal variant is the same and only the sds change
+    factor = trials / (4 * _random_divisor(trials)[0])
+    for p in (nv_symmetric_distribution(), spdc_distribution()):
+        fixed = analytic_covariance(p, SamplingScheme(trials))
+        random = analytic_covariance(p, SamplingScheme(trials, Allocation.UNIFORM_RANDOM))
+        scale = np.max(np.abs(random))
+        assert np.max(np.abs(random - factor * fixed)) <= 1e-15 * scale
+        for name in ("CHSH", "CH", "EH"):
+            a, b = optimal_variant(catalog(name), fixed), optimal_variant(catalog(name), random)
+            assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-14 * np.max(np.abs(a.coeffs))
+            assert std_dev(b, random) == pytest.approx(np.sqrt(factor) * std_dev(a, fixed),
+                                                       rel=1e-14)
+
+
+@pytest.mark.parametrize("trials", [8, 245])
+def test_random_allocation_covariance_matches_monte_carlo(trials):
+    # sds under the analytic Sigma against those of 200k simulated runs, to 6
+    # standard errors of a sample sd, sd sqrt((kappa - 1) / 4R) with kappa the
+    # kurtosis of the run values; the fixed-allocation Sigma fails at N = 8
+    from bellopt.simulate import run_ensemble
+    from bellopt.sources import nv_distribution
+
+    p, runs, seed = nv_distribution(), 200_000, 17
+    scheme = SamplingScheme(trials, Allocation.UNIFORM_RANDOM)
+    betas = [catalog(name) for name in ("CHSH", "CH", "EH")]
+    mc = mc_covariance(p, scheme, runs=runs, seed=seed)
+    values = run_ensemble(p, betas, scheme, runs=runs, seed=seed).values
+    centered = values - values.mean(axis=0)
+    kurtosis = np.mean(centered**4, axis=0) / np.mean(centered**2, axis=0) ** 2
+    sd_mc = np.array([std_dev(b, mc) for b in betas])
+    tol = 6 * sd_mc * np.sqrt((kurtosis - 1) / (4 * runs))
+    exact = analytic_covariance(p, scheme)
+    assert np.all(np.abs([std_dev(b, exact) for b in betas] - sd_mc) <= tol)
+    if trials == 8:  # where the two allocations differ by 25% in variance
+        fixed = analytic_covariance(p, SamplingScheme(trials))
+        assert np.all(np.abs([std_dev(b, fixed) for b in betas] - sd_mc) > tol)
 
 
 def test_check_covariance_rejects_bad_matrices():
